@@ -1,4 +1,5 @@
-// Ablation: the low-rank method's two design knobs (DESIGN.md §5.4) —
+// Ablation: the low-rank method's two design knobs (docs/ARCHITECTURE.md,
+// "Low-rank row-basis knobs") —
 // the row-basis singular-value tolerance and the rank cap — swept on the
 // alternating-size example where accuracy is hardest.
 //

@@ -52,6 +52,25 @@ SparseMatrix::SparseMatrix(const SparseBuilder& b, double drop_tol)
   for (std::size_t i = 0; i < rows_; ++i) rowptr_[i + 1] += rowptr_[i];
 }
 
+SparseMatrix SparseMatrix::from_csr(std::size_t rows, std::size_t cols,
+                                    std::vector<std::size_t> rowptr,
+                                    std::vector<std::size_t> colidx, std::vector<double> val) {
+  SUBSPAR_REQUIRE(rowptr.size() == rows + 1 && rowptr.front() == 0 &&
+                  rowptr.back() == colidx.size() && colidx.size() == val.size());
+  for (std::size_t i = 0; i < rows; ++i) {
+    SUBSPAR_REQUIRE(rowptr[i] <= rowptr[i + 1]);
+    for (std::size_t k = rowptr[i]; k < rowptr[i + 1]; ++k)
+      SUBSPAR_REQUIRE(colidx[k] < cols && (k == rowptr[i] || colidx[k - 1] < colidx[k]));
+  }
+  SparseMatrix m;
+  m.rows_ = rows;
+  m.cols_ = cols;
+  m.rowptr_ = std::move(rowptr);
+  m.colidx_ = std::move(colidx);
+  m.val_ = std::move(val);
+  return m;
+}
+
 SparseMatrix SparseMatrix::from_dense(const Matrix& a, double drop_tol) {
   SparseBuilder b(a.rows(), a.cols());
   for (std::size_t i = 0; i < a.rows(); ++i)

@@ -49,6 +49,55 @@ Matrix restrict_rows(const Matrix& x, const std::vector<std::size_t>& pos) {
   return out;
 }
 
+// A x and A' x for a block x, each column summed like matvec / matvec_t
+// (products added in ascending inner index, from 0.0), so column c is bit
+// for bit matvec(a, x.col(c)) / matvec_t(a, x.col(c)).
+Matrix columnwise_matvec(const Matrix& a, const Matrix& x) {
+  SUBSPAR_REQUIRE(a.cols() == x.rows());
+  Matrix y(a.rows(), x.cols());
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    double* yi = y.row_ptr(i);
+    for (std::size_t j = 0; j < a.cols(); ++j) {
+      const double aij = a(i, j);
+      const double* xj = x.row_ptr(j);
+      for (std::size_t c = 0; c < x.cols(); ++c) yi[c] += aij * xj[c];
+    }
+  }
+  return y;
+}
+
+Matrix columnwise_matvec_t(const Matrix& a, const Matrix& x) {
+  SUBSPAR_REQUIRE(a.rows() == x.rows());
+  Matrix y(a.cols(), x.cols());
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    const double* xi = x.row_ptr(i);
+    for (std::size_t j = 0; j < a.cols(); ++j) {
+      const double aij = a(i, j);
+      double* yj = y.row_ptr(j);
+      for (std::size_t c = 0; c < x.cols(); ++c) yj[c] += aij * xi[c];
+    }
+  }
+  return y;
+}
+
+// out[c][ids[i]] += (A X)(i, c) + (B Y)(i, c) for the k columns of X and Y.
+// Each product sums like matvec and the two are added before they reach
+// out, so column c gets matvec(A, x_c) + matvec(B, y_c) bit for bit; a null
+// operand contributes 0.0.
+void add_products(std::vector<Vector>& out, const std::vector<std::size_t>& ids, const Matrix* a,
+                  const Matrix& x, const Matrix* b, const Matrix& y, std::size_t k) {
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    for (std::size_t c = 0; c < k; ++c) {
+      double ax = 0.0, by = 0.0;
+      if (a != nullptr)
+        for (std::size_t j = 0; j < a->cols(); ++j) ax += (*a)(i, j) * x(j, c);
+      if (b != nullptr)
+        for (std::size_t j = 0; j < b->cols(); ++j) by += (*b)(i, j) * y(j, c);
+      out[c][ids[i]] += ax + by;
+    }
+  }
+}
+
 }  // namespace
 
 RowBasisRep::RowBasisRep(const SubstrateSolver& solver, const QuadTree& tree,
@@ -728,45 +777,59 @@ void RowBasisRep::build_finest(const SubstrateSolver& solver) {
 
 // ------------------------------------------------------------------ apply
 
-Vector RowBasisRep::apply(const Vector& x) const {
+void RowBasisRep::add_subtree_response(const SquareId& s, const Matrix& x,
+                                       std::vector<Vector>& out) const {
   const QuadTree& tree = *tree_;
-  SUBSPAR_REQUIRE(x.size() == tree.layout().n_contacts());
-  Vector out(x.size());
+  const std::size_t k = x.cols();
+  SUBSPAR_REQUIRE(x.rows() == contacts(s).size() && out.size() >= k);
 
-  for (int lev = 2; lev <= tree.max_level(); ++lev) {
-    for (const SquareId& s : tree.squares(lev)) {
-      const auto& ids = contacts(s);
-      const Vector xs = restrict_to(x, ids);
-      const SquareRep& rep = reps_.at(s);
-      Vector cs, os = xs;
-      if (rep.v.cols() > 0) {
-        cs = matvec_t(rep.v, xs);
-        os -= matvec(rep.v, cs);
+  // The blocks of x over one level of the subtree, in squares() scan order.
+  std::vector<std::pair<SquareId, Matrix>> level{{s, x}};
+  for (;;) {
+    for (const auto& [d, xd] : level) {
+      const SquareRep& rep = reps_.at(d);
+      const bool has_v = rep.v.cols() > 0;
+      Matrix cd, od = xd;
+      if (has_v) {
+        cd = columnwise_matvec_t(rep.v, xd);
+        od -= columnwise_matvec(rep.v, cd);
       }
-      for (const SquareId& d : tree.interactive(s)) {
-        const auto& dids = contacts(d);
-        Vector id(dids.size());
-        // (G_{d,s} V_s) V_s' x_s ...
-        if (rep.v.cols() > 0) id += matvec(rep.response.at(d), cs);
-        // ... + V_d (G_{s,d} V_d)' (x_s - V_s V_s' x_s)   (eq. 4.16)
-        const SquareRep& drep = reps_.at(d);
-        if (drep.v.cols() > 0 && drep.response.count(s) > 0) {
-          id += matvec(drep.v, matvec_t(drep.response.at(s), os));
-        }
-        for (std::size_t i = 0; i < dids.size(); ++i) out[dids[i]] += id[i];
+      for (const SquareId& q : tree.interactive(d)) {
+        // (G_{q,d} V_d) V_d' x_d + V_q (G_{d,q} V_q)' (x_d - V_d V_d' x_d)   (eq. 4.16)
+        const SquareRep& qrep = reps_.at(q);
+        const auto back = qrep.response.find(d);
+        const bool has_back = qrep.v.cols() > 0 && back != qrep.response.end();
+        const Matrix t = has_back ? columnwise_matvec_t(back->second, od) : Matrix();
+        add_products(out, contacts(q), has_v ? &rep.response.at(q) : nullptr, cd,
+                     has_back ? &qrep.v : nullptr, t, k);
       }
     }
+    if (level.front().first.level == tree.max_level()) break;
+    std::vector<std::pair<SquareId, Matrix>> next;
+    for (const auto& [d, xd] : level)
+      for (const SquareId& c : tree.children(d))
+        next.emplace_back(c, restrict_rows(xd, positions_in(contacts(c), contacts(d))));
+    std::sort(next.begin(), next.end(), [](const auto& a, const auto& b) {
+      return a.first.iy != b.first.iy ? a.first.iy < b.first.iy : a.first.ix < b.first.ix;
+    });
+    level = std::move(next);
   }
 
-  for (const SquareId& s : tree.squares(tree.max_level())) {
-    const Vector xs = restrict_to(x, contacts(s));
-    for (const SquareId& q : tree.local(s)) {
-      const auto& qids = contacts(q);
-      const Vector iq = matvec(finest_g_.at({q, s}), xs);
-      for (std::size_t i = 0; i < qids.size(); ++i) out[qids[i]] += iq[i];
-    }
+  for (const auto& [d, xd] : level)
+    for (const SquareId& q : tree.local(d))
+      add_products(out, contacts(q), &finest_g_.at({q, d}), xd, nullptr, xd, k);
+}
+
+Vector RowBasisRep::apply(const Vector& x) const {
+  SUBSPAR_REQUIRE(x.size() == tree_->layout().n_contacts());
+  std::vector<Vector> out{Vector(x.size())};
+  for (const SquareId& s : tree_->squares(2)) {
+    const auto& ids = contacts(s);
+    Matrix xs(ids.size(), 1);
+    for (std::size_t i = 0; i < ids.size(); ++i) xs(i, 0) = x[ids[i]];
+    add_subtree_response(s, xs, out);
   }
-  return out;
+  return std::move(out.front());
 }
 
 }  // namespace subspar

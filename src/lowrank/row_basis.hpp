@@ -28,6 +28,9 @@
 
 namespace subspar {
 
+class LowRankBasis;
+class SparseMatrix;
+
 struct LowRankOptions {
   /// Phase-1 row-basis truncation: singular values >= sigma_rel_tol *
   /// sigma_max count. The paper quotes 1/100; because the interactive-block
@@ -76,7 +79,8 @@ class RowBasisRep {
   /// trajectory). 0 on a healthy build and always 0 for kColumnSampling.
   long rbk_fallback_squares() const { return rbk_fallback_squares_; }
 
-  /// Approximate G v through the multilevel representation (§4.3.2).
+  /// Approximate G v through the multilevel representation (§4.3.2): the
+  /// sum of the subtree responses of v's level-2 blocks.
   Vector apply(const Vector& v) const;
 
   /// Row basis V_s (rows ordered like contacts(s)).
@@ -95,10 +99,21 @@ class RowBasisRep {
   const std::vector<std::size_t>& contacts(const SquareId& s) const;
 
  private:
+  friend SparseMatrix lowrank_fill_gw(const RowBasisRep& rep, const LowRankBasis& basis);
+
   struct SquareRep {
     Matrix v;
     std::map<SquareId, Matrix> response;
   };
+
+  /// Adds G x to `out` (out[c] += G x_c over all contacts; out.size() >=
+  /// x.cols()) for a block x supported on square s, rows ordered like
+  /// contacts(s), evaluating only the terms of s and its descendants. Of the
+  /// other terms of the whole-tree apply, those of an ancestor a of s land
+  /// on interactive(a), outside local(s), and the rest are zero. Writes only
+  /// the contacts of local(s) and interactive(s), summing level by level in
+  /// squares() scan order and per column like matvec.
+  void add_subtree_response(const SquareId& s, const Matrix& x, std::vector<Vector>& out) const;
 
   // Per-square responses of one "batch" of vectors, stored over the local
   // squares of the parent (which cover P_s).

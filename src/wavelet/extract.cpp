@@ -107,13 +107,7 @@ WaveletExtraction wavelet_extract_combined(const SubstrateSolver& solver,
       // coarser-level entries come from symmetry).
       for (const SquareId& s : groups[g].members) {
         const std::size_t col_idx = basis.w_columns(s)[groups[g].m];
-        for (const SquareId& t : tree.local(s)) {
-          for (const SquareId& sp : subtree_squares(tree, t)) {
-            for (const std::size_t row_idx : basis.w_columns(sp)) {
-              acc.record(row_idx, col_idx, basis.column_dot(row_idx, u));
-            }
-          }
-        }
+        record_local_entries(basis, s, {&col_idx, 1}, {&u, 1}, acc);
       }
     }
   }

@@ -8,7 +8,7 @@
 #pragma once
 
 #include <cstddef>
-#include <unordered_map>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -37,33 +37,34 @@ class WaveletPattern {
 
 /// Accumulates measurements of entries of a symmetric matrix; entries
 /// estimated from both directions (i response to j, j response to i) are
-/// averaged, preserving symmetry of the assembled result.
+/// averaged, preserving symmetry of the assembled result. Measurements are
+/// kept in record order and summed per entry in that order on build.
 class SymmetricEntryAccumulator {
  public:
   explicit SymmetricEntryAccumulator(std::size_t n) : n_(n) {}
 
   void record(std::size_t i, std::size_t j, double v) {
-    const std::size_t a = std::min(i, j), b = std::max(i, j);
-    auto& slot = acc_[a * n_ + b];
-    slot.first += v;
-    ++slot.second;
+    entries_.emplace_back(std::min(i, j) * n_ + std::max(i, j), v);
   }
 
-  SparseMatrix build() const {
-    SparseBuilder builder(n_, n_);
-    for (const auto& [key, slot] : acc_) {
-      const std::size_t i = key / n_, j = key % n_;
-      const double v = slot.first / static_cast<double>(slot.second);
-      builder.add(i, j, v);
-      if (i != j) builder.add(j, i, v);
-    }
-    return SparseMatrix(builder);
-  }
+  /// The averaged matrix; exact zeros are left out. Consumes the
+  /// measurements.
+  SparseMatrix build();
 
  private:
   std::size_t n_;
-  std::unordered_map<std::size_t, std::pair<double, int>> acc_;
+  std::vector<std::pair<std::size_t, double>> entries_;  // (upper-triangle key, value)
 };
+
+/// Records the entries G_w(r, c) = q_r' u_c the conservative pattern keeps
+/// between the W columns `cols` of square s and the W columns at the same or
+/// finer levels: those of every square in the subtree of a local square of
+/// s (coarser-level entries come from symmetry). responses[i] is G q_{cols[i]}
+/// over all contacts; only its entries on the contacts of local(s) are read.
+/// Both sparsifiers' G_w fills record their W columns through it.
+void record_local_entries(const TransformBasis& basis, const SquareId& s,
+                          std::span<const std::size_t> cols, std::span<const Vector> responses,
+                          SymmetricEntryAccumulator& acc);
 
 /// All non-empty squares in the subtree rooted at `t` (including t), i.e.
 /// its descendants at every finer level.

@@ -1,10 +1,13 @@
 // Tests for the low-rank sparsifier: singular-value decay premise
 // (Fig. 4-3), row-basis fidelity, the apply-operator of §4.3.2, the
-// fine-to-coarse sweep, and end-to-end accuracy including the mixed-size
+// fine-to-coarse sweep, the G_w fill (bit for bit against a per-column
+// whole-tree fill), and end-to-end accuracy including the mixed-size
 // layouts where the wavelet method fails (Tables 4.1/4.2).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "core/report.hpp"
 #include "geometry/layout_gen.hpp"
@@ -217,6 +220,139 @@ TEST(LowRankExtract, ThresholdingKeepsMostEntriesAccurate) {
   const ErrorStats err = reconstruction_error(ex.basis->q(), gwt, g);
   EXPECT_LT(err.frac_above_10pct, 0.10);
   EXPECT_GT(gwt.sparsity_factor(), 5.0 * ex.gw.sparsity_factor());
+}
+
+// The whole-tree apply of §4.3.2 over the public accessors: eq. 4.16 for
+// every square of every level in squares() order, then the finest local
+// blocks, each term through matvec / matvec_t.
+Vector whole_tree_apply(const RowBasisRep& rep, const Vector& x) {
+  const QuadTree& tree = rep.tree();
+  const auto restrict_to = [&](const SquareId& s) {
+    const auto& ids = rep.contacts(s);
+    Vector xs(ids.size());
+    for (std::size_t i = 0; i < ids.size(); ++i) xs[i] = x[ids[i]];
+    return xs;
+  };
+  Vector out(x.size());
+  for (int lev = 2; lev <= tree.max_level(); ++lev) {
+    for (const SquareId& s : tree.squares(lev)) {
+      const Vector xs = restrict_to(s);
+      const Matrix& v = rep.v(s);
+      Vector cs, os = xs;
+      if (v.cols() > 0) {
+        cs = matvec_t(v, xs);
+        os -= matvec(v, cs);
+      }
+      for (const SquareId& d : tree.interactive(s)) {
+        const auto& dids = rep.contacts(d);
+        Vector id(dids.size());
+        if (v.cols() > 0) id += matvec(rep.response(s, d), cs);
+        if (rep.v(d).cols() > 0 && rep.has_response(d, s))
+          id += matvec(rep.v(d), matvec_t(rep.response(d, s), os));
+        for (std::size_t i = 0; i < dids.size(); ++i) out[dids[i]] += id[i];
+      }
+    }
+  }
+  for (const SquareId& s : tree.squares(tree.max_level())) {
+    const Vector xs = restrict_to(s);
+    for (const SquareId& q : tree.local(s)) {
+      const auto& qids = rep.contacts(q);
+      const Vector iq = matvec(rep.finest_local_g(q, s), xs);
+      for (std::size_t i = 0; i < qids.size(); ++i) out[qids[i]] += iq[i];
+    }
+  }
+  return out;
+}
+
+// G_w filled one basis column at a time: the whole-tree apply of the column,
+// then column_dot against every row the conservative pattern keeps for it.
+SparseMatrix per_column_fill(const RowBasisRep& rep, const LowRankBasis& basis) {
+  const QuadTree& tree = rep.tree();
+  const std::size_t n = basis.n();
+  SymmetricEntryAccumulator acc(n);
+  for (const std::size_t k : basis.root_columns()) {
+    const Vector u = whole_tree_apply(rep, basis.column_vector(k));
+    for (std::size_t j = 0; j < n; ++j) acc.record(j, k, basis.column_dot(j, u));
+  }
+  for (int lev = 2; lev <= tree.max_level(); ++lev) {
+    for (const SquareId& s : tree.squares(lev)) {
+      for (const std::size_t col : basis.w_columns(s)) {
+        const Vector u = whole_tree_apply(rep, basis.column_vector(col));
+        for (const SquareId& t : tree.local(s))
+          for (const SquareId& sp : subtree_squares(tree, t))
+            for (const std::size_t row : basis.w_columns(sp))
+              acc.record(row, col, basis.column_dot(row, u));
+      }
+    }
+  }
+  return acc.build();
+}
+
+struct FillCase {
+  const char* name;
+  Layout (*layout)();
+  RowBasisScheme scheme;
+};
+
+void PrintTo(const FillCase& c, std::ostream* os) { *os << c.name; }
+
+class BitwiseFill : public ::testing::TestWithParam<FillCase> {};
+
+TEST_P(BitwiseFill, SubtreeFillEqualsPerColumnWholeTreeFill) {
+  // Each square's subtree walk must reproduce the per-column whole-tree
+  // fill exactly: same pattern, and every value to the last bit (the terms
+  // it skips are zero on the recorded rows; the ones it keeps are summed in
+  // the same order).
+  LowRankFixture f(GetParam().layout());
+  const RowBasisRep rep(f.solver, f.tree, {.basis = GetParam().scheme});
+  const LowRankBasis basis(rep);
+  const SparseMatrix fast = lowrank_fill_gw(rep, basis);
+  const SparseMatrix ref = per_column_fill(rep, basis);
+  ASSERT_EQ(fast.rows(), ref.rows());
+  ASSERT_EQ(fast.nnz(), ref.nnz());
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < ref.rows(); ++i) {
+    ASSERT_EQ(fast.row_begin(i), ref.row_begin(i)) << "row " << i;
+    for (std::size_t k = ref.row_begin(i); k < ref.row_end(i); ++k) {
+      ASSERT_EQ(fast.col_index(k), ref.col_index(k)) << "row " << i;
+      mismatches += std::bit_cast<std::uint64_t>(fast.value(k)) !=
+                    std::bit_cast<std::uint64_t>(ref.value(k));
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << ref.nnz() << " values differ in some bit";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Layouts, BitwiseFill,
+    ::testing::Values(
+        FillCase{"Grid8Sampling", [] { return regular_grid_layout(8); },
+                 RowBasisScheme::kColumnSampling},
+        FillCase{"Grid8Krylov", [] { return regular_grid_layout(8); },
+                 RowBasisScheme::kBlockKrylov},
+        FillCase{"Grid16Sampling", [] { return regular_grid_layout(16); },
+                 RowBasisScheme::kColumnSampling},
+        FillCase{"Grid16Krylov", [] { return regular_grid_layout(16); },
+                 RowBasisScheme::kBlockKrylov},
+        FillCase{"Alternating8Sampling", [] { return alternating_size_layout(8); },
+                 RowBasisScheme::kColumnSampling},
+        FillCase{"Alternating8Krylov", [] { return alternating_size_layout(8); },
+                 RowBasisScheme::kBlockKrylov},
+        FillCase{"MixedShapes16Sampling", [] { return mixed_shapes_layout(16, 21); },
+                 RowBasisScheme::kColumnSampling},
+        FillCase{"MixedShapes16Krylov", [] { return mixed_shapes_layout(16, 21); },
+                 RowBasisScheme::kBlockKrylov}),
+    [](const ::testing::TestParamInfo<FillCase>& info) { return info.param.name; });
+
+TEST(RowBasisRep, ApplyMatchesWholeTreeApply) {
+  // apply() sums the level-2 subtree walks, a different order than the
+  // whole-tree sweep, so the two agree to rounding.
+  LowRankFixture f(mixed_shapes_layout(16, 21));
+  const RowBasisRep rep(f.solver, f.tree);
+  Rng rng(7);
+  Vector x(f.layout.n_contacts());
+  for (auto& v : x) v = rng.normal();
+  const Vector ref = whole_tree_apply(rep, x);
+  EXPECT_LT(norm2(rep.apply(x) - ref), 1e-13 * norm2(ref));
 }
 
 TEST(PositionsIn, MapsSortedSubsets) {

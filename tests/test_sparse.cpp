@@ -204,6 +204,20 @@ TEST_P(RandomSparseSweep, ApplyAndTransposeApplyMatchDense) {
 
 INSTANTIATE_TEST_SUITE_P(Random, RandomSparseSweep, ::testing::Range(0, 8));
 
+TEST(Sparse, FromCsrAdoptsArraysAndRejectsBrokenOnes) {
+  const SparseMatrix a = SparseMatrix::from_csr(2, 3, {0, 2, 3}, {0, 2, 1}, {2.0, 4.0, 5.0});
+  EXPECT_EQ(a.nnz(), 3u);
+  const Matrix d = a.to_dense();
+  EXPECT_DOUBLE_EQ(d(0, 0), 2.0);
+  EXPECT_DOUBLE_EQ(d(0, 2), 4.0);
+  EXPECT_DOUBLE_EQ(d(1, 1), 5.0);
+  // Columns out of order, a duplicate, a column out of range, a short rowptr.
+  EXPECT_THROW(SparseMatrix::from_csr(1, 3, {0, 2}, {2, 0}, {1.0, 1.0}), std::invalid_argument);
+  EXPECT_THROW(SparseMatrix::from_csr(1, 3, {0, 2}, {1, 1}, {1.0, 1.0}), std::invalid_argument);
+  EXPECT_THROW(SparseMatrix::from_csr(1, 3, {0, 1}, {3}, {1.0}), std::invalid_argument);
+  EXPECT_THROW(SparseMatrix::from_csr(2, 3, {0, 1}, {0}, {1.0}), std::invalid_argument);
+}
+
 TEST(Sparse, EmptyMatrixBehaves) {
   const SparseMatrix a(SparseBuilder(3, 3));
   EXPECT_EQ(a.nnz(), 0u);

@@ -148,6 +148,27 @@ TEST(Threshold, NoOpWhenAlreadySparseEnough) {
   EXPECT_EQ(threshold_to_nnz(sp, 5).nnz(), 1u);
 }
 
+TEST(SymmetricEntryAccumulator, AveragesBothDirectionsInRecordOrder) {
+  SymmetricEntryAccumulator acc(3);
+  acc.record(0, 2, 1.0);
+  acc.record(2, 0, 3.0);  // the other direction: mean 2
+  acc.record(1, 1, 5.0);
+  acc.record(2, 1, 0.0);  // exact zero, left out
+  // Three measurements sum in record order: (1e17 + 1) - 1e17 = 0 in
+  // doubles, so the entry vanishes; another order would leave 1/3.
+  acc.record(0, 1, 1e17);
+  acc.record(1, 0, 1.0);
+  acc.record(0, 1, -1e17);
+  const SparseMatrix a = acc.build();
+  EXPECT_EQ(a.nnz(), 3u);
+  const Matrix d = a.to_dense();
+  EXPECT_DOUBLE_EQ(d(0, 2), 2.0);
+  EXPECT_DOUBLE_EQ(d(2, 0), 2.0);
+  EXPECT_DOUBLE_EQ(d(1, 1), 5.0);
+  EXPECT_DOUBLE_EQ(d(0, 1), 0.0);
+  EXPECT_DOUBLE_EQ(d(2, 1), 0.0);
+}
+
 // ------------------------------------------------- extraction end-to-end
 
 TEST(WaveletExtract, CombinedMatchesReferenceOnKeptEntries) {
