@@ -90,6 +90,18 @@ Vector pcg(const LinearOp& a, const Vector& b, const IterOptions& opt, IterStats
 
 namespace {
 
+// Per-column sums of squares in one row-major pass; each column still sums
+// in ascending row order, so the result equals a column-at-a-time loop bit
+// for bit.
+std::vector<double> column_sum_squares(const Matrix& m) {
+  std::vector<double> ss(m.cols(), 0.0);
+  for (std::size_t i = 0; i < m.rows(); ++i) {
+    const double* row = m.row_ptr(i);
+    for (std::size_t j = 0; j < m.cols(); ++j) ss[j] += row[j] * row[j];
+  }
+  return ss;
+}
+
 // Selects the `keep` columns of a matrix (column compaction after
 // deflating converged block-CG columns).
 Matrix select_cols(const Matrix& m, const std::vector<std::size_t>& keep) {
@@ -126,12 +138,10 @@ Matrix pcg_block(const LinearOpMany& a, const Matrix& b, const IterOptions& opt,
   };
 
   // Zero columns solve to zero; drop them so the Gram systems stay SPD.
-  std::vector<double> bnorm_all(k, 0.0);
+  std::vector<double> bnorm_all = column_sum_squares(b);
   std::vector<std::size_t> active;  // original column index of each live slot
   for (std::size_t j = 0; j < k; ++j) {
-    double s = 0.0;
-    for (std::size_t i = 0; i < n; ++i) s += b(i, j) * b(i, j);
-    bnorm_all[j] = std::sqrt(s);
+    bnorm_all[j] = std::sqrt(bnorm_all[j]);
     if (bnorm_all[j] > 0.0) active.push_back(j);
   }
   if (active.empty()) {
@@ -140,11 +150,8 @@ Matrix pcg_block(const LinearOpMany& a, const Matrix& b, const IterOptions& opt,
     return x;
   }
   std::vector<double> bnorm(active.size());
-  Matrix r(n, active.size());
-  for (std::size_t j = 0; j < active.size(); ++j) {
-    bnorm[j] = bnorm_all[active[j]];
-    for (std::size_t i = 0; i < n; ++i) r(i, j) = b(i, active[j]);
-  }
+  for (std::size_t j = 0; j < active.size(); ++j) bnorm[j] = bnorm_all[active[j]];
+  Matrix r = select_cols(b, active);
 
   Matrix xa(n, active.size());
   Matrix z = precond ? precond->apply_many(r) : r;
@@ -171,19 +178,20 @@ Matrix pcg_block(const LinearOpMany& a, const Matrix& b, const IterOptions& opt,
     // Per-column residuals; deflate converged columns out of the block so
     // the Gram systems stay well-conditioned for the stragglers.
     const std::size_t ka = active.size();
-    std::vector<std::size_t> keep;
+    const std::vector<double> rs = column_sum_squares(r);
+    std::vector<std::size_t> keep, done;
     double worst = 0.0;
     for (std::size_t j = 0; j < ka; ++j) {
-      double rs = 0.0;
-      for (std::size_t i = 0; i < n; ++i) rs += r(i, j) * r(i, j);
-      const double rel = std::sqrt(rs) / bnorm[j];
+      const double rel = std::sqrt(rs[j]) / bnorm[j];
       if (rel <= opt.rel_tol) {
-        for (std::size_t i = 0; i < n; ++i) x(i, active[j]) = xa(i, j);
+        done.push_back(j);
       } else {
         keep.push_back(j);
         worst = std::max(worst, rel);
       }
     }
+    for (std::size_t i = 0; i < n; ++i)
+      for (const std::size_t j : done) x(i, active[j]) = xa(i, j);
     local.max_relative_residual = worst;
     if (keep.empty()) {
       local.converged = true;
@@ -213,8 +221,8 @@ Matrix pcg_block(const LinearOpMany& a, const Matrix& b, const IterOptions& opt,
       // True-residual restart: one extra operator apply, only on stall.
       r = a(xa);
       r *= -1.0;
-      for (std::size_t j = 0; j < active.size(); ++j)
-        for (std::size_t i = 0; i < n; ++i) r(i, j) += b(i, active[j]);
+      for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t j = 0; j < active.size(); ++j) r(i, j) += b(i, active[j]);
       z = precond ? precond->apply_many(r) : r;
       p = z;
       s = mm_tn(z, r);
@@ -239,8 +247,8 @@ Matrix pcg_block(const LinearOpMany& a, const Matrix& b, const IterOptions& opt,
     s = s_next;
   }
 
-  for (std::size_t j = 0; j < active.size(); ++j)
-    for (std::size_t i = 0; i < n; ++i) x(i, active[j]) = xa(i, j);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < active.size(); ++j) x(i, active[j]) = xa(i, j);
   if (stats) *stats = local;
   return x;
 }
@@ -263,12 +271,10 @@ Matrix pcg_block_refined(const LinearOpMany& a_hi, const LinearOpMany& a_lo,
   BlockIterStats total;
   Matrix x(n, k);
 
-  std::vector<double> bnorm(k, 0.0);
+  std::vector<double> bnorm = column_sum_squares(b);
   bool any = false;
   for (std::size_t j = 0; j < k; ++j) {
-    double s = 0.0;
-    for (std::size_t i = 0; i < n; ++i) s += b(i, j) * b(i, j);
-    bnorm[j] = std::sqrt(s);
+    bnorm[j] = std::sqrt(bnorm[j]);
     any = any || bnorm[j] > 0.0;
   }
   if (!any) {
@@ -298,12 +304,11 @@ Matrix pcg_block_refined(const LinearOpMany& a_hi, const LinearOpMany& a_lo,
       const double* brow = b.row_ptr(i);
       for (std::size_t j = 0; j < k; ++j) rrow[j] += brow[j];
     }
+    const std::vector<double> rs = column_sum_squares(r);
     double worst = 0.0;
     for (std::size_t j = 0; j < k; ++j) {
       if (bnorm[j] == 0.0) continue;
-      double rs = 0.0;
-      for (std::size_t i = 0; i < n; ++i) rs += r(i, j) * r(i, j);
-      worst = std::max(worst, std::sqrt(rs) / bnorm[j]);
+      worst = std::max(worst, std::sqrt(rs[j]) / bnorm[j]);
     }
     total.max_relative_residual = worst;
     if (worst <= opt.rel_tol) {

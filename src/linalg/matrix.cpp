@@ -14,14 +14,16 @@ Matrix Matrix::identity(std::size_t n) {
 Matrix Matrix::transposed() const {
   Matrix t(cols_, rows_);
   // Cache-blocked: both the read and the write stream stay inside one
-  // 32 x 32 block (8 KB each), instead of striding the full matrix.
+  // 32 x 32 block (8 KB each), instead of striding the full matrix. Inside
+  // a block each output row is written contiguously; the strided reads hit
+  // the block's cached source rows.
   constexpr std::size_t B = 32;
   for (std::size_t i0 = 0; i0 < rows_; i0 += B) {
     const std::size_t i1 = std::min(i0 + B, rows_);
     for (std::size_t j0 = 0; j0 < cols_; j0 += B) {
       const std::size_t j1 = std::min(j0 + B, cols_);
-      for (std::size_t i = i0; i < i1; ++i)
-        for (std::size_t j = j0; j < j1; ++j) t(j, i) = (*this)(i, j);
+      for (std::size_t j = j0; j < j1; ++j)
+        for (std::size_t i = i0; i < i1; ++i) t(j, i) = (*this)(i, j);
     }
   }
   return t;

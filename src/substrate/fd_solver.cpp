@@ -161,16 +161,18 @@ struct FdSolver::Impl {
   }
 
   // Shared volume-solve core: contact-voltage columns -> interior voltage
-  // columns, one blocked PCG per chunk of <= kMaxSolveBlock columns. The
-  // operator is one row-partitioned SpMM per iteration; the preconditioner
-  // one blockwise apply_many. A single column skips the block machinery
-  // (k x k Gram solves, deflation bookkeeping, Matrix temporaries) and
-  // runs the scalar-recurrence pcg() — substantially cheaper per iteration
-  // at equal arithmetic per operator apply.
-  Matrix solve_volume_block(const Matrix& contact_voltages, SolverDiagnostics& d) const {
-    const std::size_t nodes = nx * ny * nz;
+  // columns, one blocked PCG per chunk of <= kMaxSolveBlock columns, each
+  // chunk handed to sink(j0, xc) as soon as it is solved (column j of xc is
+  // column j0 + j of the batch). The operator is one row-partitioned SpMM
+  // per iteration; the preconditioner one blockwise apply_many. A single
+  // column skips the block machinery (k x k Gram solves, deflation
+  // bookkeeping, Matrix temporaries) and runs the scalar-recurrence pcg() —
+  // substantially cheaper per iteration at equal arithmetic per operator
+  // apply.
+  template <typename Sink>
+  void solve_volume_blocks(const Matrix& contact_voltages, SolverDiagnostics& d,
+                           Sink&& sink) const {
     const std::size_t k = contact_voltages.cols();
-    Matrix x(nodes, k);
     // The scalar fast path is fp64-only: mixed-precision refinement is a
     // batched construct (fp32 SpMM bandwidth + fp64 correction), so a mixed
     // single column routes through robust_chunk like any other block.
@@ -196,8 +198,10 @@ struct FdSolver::Impl {
       stat_solves += 1;
       d.iterations += static_cast<long>(stats.iterations);
       if (stats.converged && !corrupted && finite) {
+        Matrix x(xv.size(), 1);
         x.set_col(0, xv);
-        return x;
+        sink(0, x);
+        return;
       }
       // Scalar fast path failed: escalate the single column into the same
       // robust chain the blocked path uses.
@@ -206,8 +210,8 @@ struct FdSolver::Impl {
       std::size_t it = 0;
       const Matrix xc = robust_chunk(bm, d, &it);
       total_iterations += static_cast<long>(it);
-      x.set_col(0, xc.col(0));
-      return x;
+      sink(0, xc);
+      return;
     }
     for (std::size_t j0 = 0; j0 < k; j0 += kMaxSolveBlock) {
       const std::size_t kc = std::min(kMaxSolveBlock, k - j0);
@@ -216,22 +220,23 @@ struct FdSolver::Impl {
       const Matrix xc = robust_chunk(b, d, &it);
       total_iterations += static_cast<long>(it) * static_cast<long>(kc);
       stat_solves += static_cast<long>(kc);
-      for (std::size_t j = 0; j < kc; ++j)
-        for (std::size_t i = 0; i < nodes; ++i) x(i, j0 + j) = xc(i, j);
+      sink(j0, xc);
     }
-    return x;
   }
 
-  // Contact currents read off a volume solution column.
-  Vector currents_from(const Matrix& contact_voltages, const Matrix& x, std::size_t j) const {
-    Vector currents(contact_nodes.size());
+  // Adds the contact currents of a solved chunk into columns [j0, j0 + kc)
+  // of `currents`. Only the top-plane contact rows of xc are read.
+  void add_currents(Matrix& currents, const Matrix& contact_voltages, const Matrix& xc,
+                    std::size_t j0) const {
+    const std::size_t kc = xc.cols();
     for (std::size_t c = 0; c < contact_nodes.size(); ++c) {
-      double s = 0.0;
-      for (const std::size_t node : contact_nodes[c])
-        s += g_contact * (contact_voltages(c, j) - x(node, j));
-      currents[c] = s;
+      double* out = currents.row_ptr(c) + j0;
+      const double* v = contact_voltages.row_ptr(c) + j0;
+      for (const std::size_t node : contact_nodes[c]) {
+        const double* xr = xc.row_ptr(node);
+        for (std::size_t j = 0; j < kc; ++j) out[j] += g_contact * (v[j] - xr[j]);
+      }
     }
-    return currents;
   }
 };
 
@@ -251,26 +256,25 @@ FdSolver::FdSolver(const Layout& layout, const SubstrateStack& stack, FdSolverOp
   SUBSPAR_REQUIRE(std::abs(static_cast<double>(im.nx) * h - width) < 1e-9 * width);
   SUBSPAR_REQUIRE(is_power_of_two(im.nx) && is_power_of_two(im.ny));
 
-  // Plane conductivities: node plane z (0 = bottom) sits at depth
-  // d - (z + 1/2) h below the surface.
-  std::vector<double> sigma(im.nz);
+  // The grid-of-resistors system (eq. 2.9). Plane conductivities: node
+  // plane z (0 = bottom) sits at depth d - (z + 1/2) h below the surface.
+  GridSpec spec;
+  spec.nx = im.nx;
+  spec.ny = im.ny;
+  spec.nz = im.nz;
+  spec.h = h;
+  spec.sigma.resize(im.nz);
   for (std::size_t z = 0; z < im.nz; ++z)
-    sigma[z] = stack.conductivity_at_depth(depth - (static_cast<double>(z) + 0.5) * h);
-  const double sigma_top = sigma[im.nz - 1];
-  im.g_contact = (options.ghost_half_spacing ? 2.0 : 1.0) * sigma_top * h;
-
-  std::vector<double> gz(im.nz - 1);
-  for (std::size_t z = 0; z + 1 < im.nz; ++z)
-    // Two h/2 resistors in series across the plane gap (Fig. 2-2).
-    gz[z] = 2.0 * h * sigma[z] * sigma[z + 1] / (sigma[z] + sigma[z + 1]);
-
+    spec.sigma[z] = stack.conductivity_at_depth(depth - (static_cast<double>(z) + 0.5) * h);
+  im.g_contact = (options.ghost_half_spacing ? 2.0 : 1.0) * spec.sigma[im.nz - 1] * h;
   const bool grounded = stack.backplane() == Backplane::kGrounded;
-  const double g_bottom = grounded ? 2.0 * sigma[0] * h : 0.0;
+  spec.g_bottom = grounded ? 2.0 * spec.sigma[0] * h : 0.0;
 
   // Contact nodes: panels -> top-plane node ranges (node x covers physical
   // [x h, (x+1) h), matching the panel grid when grid_h == panel_size).
+  // Each carries the ghost-resistor coupling.
   const double hp = layout.panel_size();
-  std::vector<char> is_contact(im.nx * im.ny, 0);
+  spec.g_top.assign(im.nx * im.ny, 0.0);
   for (std::size_t c = 0; c < layout.n_contacts(); ++c) {
     std::vector<std::size_t> nodes;
     for (const auto& r : layout.contact(c).parts) {
@@ -284,7 +288,8 @@ FdSolver::FdSolver(const Layout& layout, const SubstrateStack& stack, FdSolverOp
                           y < static_cast<long>(im.ny));
           nodes.push_back(im.index(static_cast<std::size_t>(x), static_cast<std::size_t>(y),
                                    im.nz - 1));
-          is_contact[static_cast<std::size_t>(x) + im.nx * static_cast<std::size_t>(y)] = 1;
+          spec.g_top[static_cast<std::size_t>(x) + im.nx * static_cast<std::size_t>(y)] =
+              im.g_contact;
         }
     }
     SUBSPAR_REQUIRE(!nodes.empty());  // grid too coarse for this contact otherwise
@@ -294,60 +299,30 @@ FdSolver::FdSolver(const Layout& layout, const SubstrateStack& stack, FdSolverOp
   // Wells: etched-away grid nodes (§2.1). Removed nodes keep identity rows
   // so the system stays SPD with a fixed size; all resistors touching them
   // are omitted, which is exactly a Neumann boundary around the cavity.
-  const std::size_t n = im.nx * im.ny * im.nz;
-  std::vector<char> removed(n, 0);
-  for (const SubstrateWell& w : options.wells) {
-    SUBSPAR_REQUIRE(w.width > 0.0 && w.height > 0.0 && w.depth > 0.0);
-    SUBSPAR_REQUIRE(w.depth < depth);
-    for (std::size_t z = 0; z < im.nz; ++z) {
-      const double node_depth = depth - (static_cast<double>(z) + 0.5) * h;
-      if (node_depth >= w.depth) continue;  // below the cavity floor
-      for (std::size_t y = 0; y < im.ny; ++y) {
-        for (std::size_t x = 0; x < im.nx; ++x) {
-          const double cx = (static_cast<double>(x) + 0.5) * h;
-          const double cy = (static_cast<double>(y) + 0.5) * h;
-          if (cx >= w.x0 && cx <= w.x0 + w.width && cy >= w.y0 && cy <= w.y0 + w.height)
-            removed[im.index(x, y, z)] = 1;
+  if (!options.wells.empty()) {
+    spec.removed.assign(spec.size(), 0);
+    for (const SubstrateWell& w : options.wells) {
+      SUBSPAR_REQUIRE(w.width > 0.0 && w.height > 0.0 && w.depth > 0.0);
+      SUBSPAR_REQUIRE(w.depth < depth);
+      for (std::size_t z = 0; z < im.nz; ++z) {
+        const double node_depth = depth - (static_cast<double>(z) + 0.5) * h;
+        if (node_depth >= w.depth) continue;  // below the cavity floor
+        for (std::size_t y = 0; y < im.ny; ++y) {
+          for (std::size_t x = 0; x < im.nx; ++x) {
+            const double cx = (static_cast<double>(x) + 0.5) * h;
+            const double cy = (static_cast<double>(y) + 0.5) * h;
+            if (cx >= w.x0 && cx <= w.x0 + w.width && cy >= w.y0 && cy <= w.y0 + w.height)
+              spec.removed[im.index(x, y, z)] = 1;
+          }
         }
       }
     }
+    for (const auto& nodes : im.contact_nodes)
+      for (const std::size_t node : nodes)
+        SUBSPAR_REQUIRE(!spec.removed[node]);  // wells may not swallow contacts
   }
-  for (const auto& nodes : im.contact_nodes)
-    for (const std::size_t node : nodes)
-      SUBSPAR_REQUIRE(!removed[node]);  // wells may not swallow contacts
 
-  // Assemble the grid-of-resistors matrix (eq. 2.9).
-  SparseBuilder bld(n, n);
-  for (std::size_t z = 0; z < im.nz; ++z) {
-    const double gl = sigma[z] * h;
-    for (std::size_t y = 0; y < im.ny; ++y) {
-      for (std::size_t x = 0; x < im.nx; ++x) {
-        const std::size_t i = im.index(x, y, z);
-        if (removed[i]) {
-          bld.add(i, i, 1.0);  // decoupled identity row
-          continue;
-        }
-        double diag = 0.0;
-        auto stamp = [&](std::size_t j, double g) {
-          if (removed[j]) return;  // omitted resistor = Neumann cavity wall
-          bld.add(i, j, -g);
-          diag += g;
-        };
-        if (x > 0) stamp(im.index(x - 1, y, z), gl);
-        if (x + 1 < im.nx) stamp(im.index(x + 1, y, z), gl);
-        if (y > 0) stamp(im.index(x, y - 1, z), gl);
-        if (y + 1 < im.ny) stamp(im.index(x, y + 1, z), gl);
-        if (z > 0) stamp(im.index(x, y, z - 1), gz[z - 1]);
-        if (z + 1 < im.nz) stamp(im.index(x, y, z + 1), gz[z]);
-        if (z == 0 && grounded) diag += g_bottom;
-        if (z == im.nz - 1 && is_contact[x + im.nx * y]) diag += im.g_contact;
-        // A fully isolated interior node (possible only in pathological well
-        // shapes) degenerates to an identity row.
-        bld.add(i, i, diag > 0.0 ? diag : 1.0);
-      }
-    }
-  }
-  im.a = SparseMatrix(bld);
+  im.a = assemble_grid_laplacian(spec);
   if (options.precision == Precision::kMixed) im.a_lo = SparseMirrorF32(im.a);
   // The fallback chain's tighter preconditioner; pointless when IC(0) is
   // already the primary. Lazy: the factor is only built if a solve fails.
@@ -365,17 +340,6 @@ FdSolver::FdSolver(const Layout& layout, const SubstrateStack& stack, FdSolverOp
                                                        : std::vector<std::size_t>{});
       break;
     case FdPreconditioner::kMultigrid: {
-      GridSpec spec;
-      spec.nx = im.nx;
-      spec.ny = im.ny;
-      spec.nz = im.nz;
-      spec.h = h;
-      spec.sigma = sigma;
-      spec.g_top.assign(im.nx * im.ny, 0.0);
-      for (std::size_t k = 0; k < im.nx * im.ny; ++k)
-        if (is_contact[k]) spec.g_top[k] = im.g_contact;
-      spec.g_bottom = g_bottom;
-      if (!options.wells.empty()) spec.removed = removed;
       MultigridOptions mg_options;
       mg_options.smoother = options.mg_smoother;
       mg_options.smoothing_sweeps = options.mg_smoothing_sweeps;
@@ -397,10 +361,10 @@ FdSolver::FdSolver(const Layout& layout, const SubstrateStack& stack, FdSolverOp
       pg.ny = im.ny;
       pg.nz = im.nz;
       pg.lateral_g.resize(im.nz);
-      for (std::size_t z = 0; z < im.nz; ++z) pg.lateral_g[z] = sigma[z] * h;
-      pg.vertical_g = gz;
+      for (std::size_t z = 0; z < im.nz; ++z) pg.lateral_g[z] = spec.sigma[z] * h;
+      pg.vertical_g = spec.vertical_conductances();
       pg.top_g = p * im.g_contact;
-      pg.bottom_g = g_bottom;
+      pg.bottom_g = spec.g_bottom;
       im.precond = std::make_unique<FastPoissonPreconditioner>(std::move(pg));
       break;
     }
@@ -451,21 +415,22 @@ Vector FdSolver::solve_volume(const Vector& contact_voltages) const {
   SUBSPAR_REQUIRE(contact_voltages.size() == n_contacts());
   Matrix v(contact_voltages.size(), 1);
   v.set_col(0, contact_voltages);
-  return impl_->solve_volume_block(v, diag()).col(0);
+  Vector x;
+  impl_->solve_volume_blocks(v, diag(), [&](std::size_t, const Matrix& xc) { x = xc.col(0); });
+  return x;
 }
 
 Vector FdSolver::do_solve(const Vector& contact_voltages) const {
   Matrix v(contact_voltages.size(), 1);
   v.set_col(0, contact_voltages);
-  const Matrix x = impl_->solve_volume_block(v, diag());
-  return impl_->currents_from(v, x, 0);
+  return do_solve_many(v).col(0);
 }
 
 Matrix FdSolver::do_solve_many(const Matrix& contact_voltages) const {
-  const Matrix x = impl_->solve_volume_block(contact_voltages, diag());
   Matrix currents(n_contacts(), contact_voltages.cols());
-  for (std::size_t j = 0; j < contact_voltages.cols(); ++j)
-    currents.set_col(j, impl_->currents_from(contact_voltages, x, j));
+  impl_->solve_volume_blocks(contact_voltages, diag(), [&](std::size_t j0, const Matrix& xc) {
+    impl_->add_currents(currents, contact_voltages, xc, j0);
+  });
   return currents;
 }
 

@@ -105,8 +105,10 @@ class FdSolver : public SubstrateSolver {
   /// as one row-partitioned SpMM and the preconditioner as one blockwise
   /// Preconditioner::apply_many per iteration (level-scheduled IC(0) on
   /// the RCM-permuted factor, batched multigrid V-cycles, or threaded
-  /// fast-Poisson solves). Throws std::runtime_error if PCG fails to
-  /// converge within options.max_iterations.
+  /// fast-Poisson solves). Each chunk's contact currents are read off its
+  /// top-plane contact nodes as soon as it converges, so no full-batch
+  /// volume matrix is kept. Throws SolverConvergenceError when the
+  /// fallback chain cannot converge a chunk.
   Matrix do_solve_many(const Matrix& contact_voltages) const override;
 
  private:

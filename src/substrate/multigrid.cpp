@@ -9,46 +9,69 @@
 
 namespace subspar {
 
+std::vector<double> GridSpec::vertical_conductances() const {
+  std::vector<double> gz(nz > 1 ? nz - 1 : 0);
+  for (std::size_t z = 0; z + 1 < nz; ++z)
+    gz[z] = 2.0 * h * sigma[z] * sigma[z + 1] / (sigma[z] + sigma[z + 1]);
+  return gz;
+}
+
 SparseMatrix assemble_grid_laplacian(const GridSpec& s) {
   SUBSPAR_REQUIRE(s.nx > 0 && s.ny > 0 && s.nz > 0 && s.h > 0.0);
   SUBSPAR_REQUIRE(s.sigma.size() == s.nz);
   SUBSPAR_REQUIRE(s.g_top.size() == s.nx * s.ny);
   SUBSPAR_REQUIRE(s.removed.empty() || s.removed.size() == s.size());
   auto gone = [&](std::size_t i) { return !s.removed.empty() && s.removed[i]; };
+  const std::vector<double> gz = s.vertical_conductances();
 
-  std::vector<double> gz(s.nz > 1 ? s.nz - 1 : 0);
-  for (std::size_t z = 0; z + 1 < s.nz; ++z)
-    gz[z] = 2.0 * s.h * s.sigma[z] * s.sigma[z + 1] / (s.sigma[z] + s.sigma[z + 1]);
-
-  SparseBuilder bld(s.size(), s.size());
+  const std::size_t n = s.size(), plane = s.nx * s.ny;
+  std::vector<std::size_t> rowptr(n + 1, 0), colidx;
+  std::vector<double> val;
+  colidx.reserve(7 * n);
+  val.reserve(7 * n);
+  auto emit = [&](std::size_t j, double v) {
+    colidx.push_back(j);
+    val.push_back(v);
+  };
   for (std::size_t z = 0; z < s.nz; ++z) {
     const double gl = s.sigma[z] * s.h;
     for (std::size_t y = 0; y < s.ny; ++y) {
       for (std::size_t x = 0; x < s.nx; ++x) {
         const std::size_t i = s.index(x, y, z);
         if (gone(i)) {
-          bld.add(i, i, 1.0);
+          emit(i, 1.0);  // decoupled identity row
+          rowptr[i + 1] = colidx.size();
           continue;
         }
-        double diag = 0.0;
-        auto stamp = [&](std::size_t j, double g) {
-          if (gone(j)) return;
-          bld.add(i, j, -g);
-          diag += g;
+        // Conductance to each neighbour; 0 where the resistor is omitted
+        // (grid edge = Neumann sidewall, removed node = cavity wall).
+        auto link = [&](bool inside, std::size_t j, double g) {
+          return inside && !gone(j) ? g : 0.0;
         };
-        if (x > 0) stamp(s.index(x - 1, y, z), gl);
-        if (x + 1 < s.nx) stamp(s.index(x + 1, y, z), gl);
-        if (y > 0) stamp(s.index(x, y - 1, z), gl);
-        if (y + 1 < s.ny) stamp(s.index(x, y + 1, z), gl);
-        if (z > 0) stamp(s.index(x, y, z - 1), gz[z - 1]);
-        if (z + 1 < s.nz) stamp(s.index(x, y, z + 1), gz[z]);
+        const double gxm = link(x > 0, i - 1, gl);
+        const double gxp = link(x + 1 < s.nx, i + 1, gl);
+        const double gym = link(y > 0, i - s.nx, gl);
+        const double gyp = link(y + 1 < s.ny, i + s.nx, gl);
+        const double gzm = z > 0 ? link(true, i - plane, gz[z - 1]) : 0.0;
+        const double gzp = z + 1 < s.nz ? link(true, i + plane, gz[z]) : 0.0;
+        double diag = 0.0;
+        for (const double g : {gxm, gxp, gym, gyp, gzm, gzp}) diag += g;
         if (z == s.nz - 1) diag += s.g_top[x + s.nx * y];
         if (z == 0) diag += s.g_bottom;
-        bld.add(i, i, diag > 0.0 ? diag : 1.0);
+        if (gzm != 0.0) emit(i - plane, -gzm);
+        if (gym != 0.0) emit(i - s.nx, -gym);
+        if (gxm != 0.0) emit(i - 1, -gxm);
+        // A fully isolated node (possible only in pathological well shapes)
+        // degenerates to an identity row.
+        emit(i, diag > 0.0 ? diag : 1.0);
+        if (gxp != 0.0) emit(i + 1, -gxp);
+        if (gyp != 0.0) emit(i + s.nx, -gyp);
+        if (gzp != 0.0) emit(i + plane, -gzp);
+        rowptr[i + 1] = colidx.size();
       }
     }
   }
-  return SparseMatrix(bld);
+  return SparseMatrix::from_csr(n, n, std::move(rowptr), std::move(colidx), std::move(val));
 }
 
 namespace {

@@ -43,11 +43,15 @@ struct GridSpec {
   std::size_t index(std::size_t x, std::size_t y, std::size_t z) const {
     return x + nx * (y + ny * z);
   }
+  /// Conductance between planes z and z + 1: two h/2 resistors in series
+  /// across the plane gap (Fig. 2-2). Size nz - 1.
+  std::vector<double> vertical_conductances() const;
 };
 
 /// Assembles the SPD grid-of-resistors matrix of a GridSpec (eq. 2.9, with
 /// series-combined layer-boundary resistors and identity rows for removed
-/// nodes).
+/// nodes). Rows are written straight into CSR in ascending column order;
+/// exact-zero couplings are not stored.
 SparseMatrix assemble_grid_laplacian(const GridSpec& spec);
 
 /// Gauss-Seidel sweep ordering inside one smoothing pass.

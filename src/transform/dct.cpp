@@ -38,22 +38,14 @@ DctPlan::DctPlan(std::size_t n) : n_(n), fast_(is_power_of_two(n) && n > 1) {
     // instead of O(N^2) cos calls per transform. The transpose gives dct3
     // contiguous rows (a plain dot per output), and the fp32 mirrors feed
     // the kMixed path.
-    dense_.resize(n * n);
-    dense_t_.resize(n * n);
+    dense_ = dct2_matrix(n);
+    dense_t_ = dense_.transposed();
     dense_f_.resize(n * n);
     dense_t_f_.resize(n * n);
     for (std::size_t k = 0; k < n; ++k) {
-      const double s = k == 0 ? s0_ : sk_;
-      for (std::size_t j = 0; j < n; ++j)
-        dense_[k * n + j] = s * std::cos(kPi * static_cast<double>(k) *
-                                         (2.0 * static_cast<double>(j) + 1.0) /
-                                         (2.0 * static_cast<double>(n)));
-    }
-    for (std::size_t k = 0; k < n; ++k) {
       for (std::size_t j = 0; j < n; ++j) {
-        dense_t_[j * n + k] = dense_[k * n + j];
-        dense_f_[k * n + j] = static_cast<float>(dense_[k * n + j]);
-        dense_t_f_[j * n + k] = static_cast<float>(dense_[k * n + j]);
+        dense_f_[k * n + j] = static_cast<float>(dense_(k, j));
+        dense_t_f_[j * n + k] = static_cast<float>(dense_(k, j));
       }
     }
   }
@@ -69,7 +61,7 @@ void DctPlan::dct2(double* x, Precision precision) const {
     if (precision == Precision::kMixed) {
       for (std::size_t k = 0; k < n; ++k) y[k] = ops.dot_f32(dense_f_.data() + k * n, x, n);
     } else {
-      for (std::size_t k = 0; k < n; ++k) y[k] = ops.dot_f64(dense_.data() + k * n, x, n);
+      for (std::size_t k = 0; k < n; ++k) y[k] = ops.dot_f64(dense_.row_ptr(k), x, n);
     }
     for (std::size_t k = 0; k < n; ++k) x[k] = y[k];
     return;
@@ -100,7 +92,7 @@ void DctPlan::dct3(double* x, Precision precision) const {
     if (precision == Precision::kMixed) {
       for (std::size_t j = 0; j < n; ++j) y[j] = ops.dot_f32(dense_t_f_.data() + j * n, x, n);
     } else {
-      for (std::size_t j = 0; j < n; ++j) y[j] = ops.dot_f64(dense_t_.data() + j * n, x, n);
+      for (std::size_t j = 0; j < n; ++j) y[j] = ops.dot_f64(dense_t_.row_ptr(j), x, n);
     }
     for (std::size_t j = 0; j < n; ++j) x[j] = y[j];
     return;
@@ -120,6 +112,18 @@ void DctPlan::dct3(double* x, Precision precision) const {
     x[2 * j] = v[j].real();
     x[2 * j + 1] = v[n - 1 - j].real();
   }
+}
+
+Matrix dct2_matrix(std::size_t n) {
+  SUBSPAR_REQUIRE(n > 0);
+  Matrix c(n, n);
+  for (std::size_t k = 0; k < n; ++k) {
+    const double s = k == 0 ? scale0(n) : scalek(n);
+    for (std::size_t j = 0; j < n; ++j)
+      c(k, j) = s * std::cos(kPi * static_cast<double>(k) * (2.0 * static_cast<double>(j) + 1.0) /
+                             (2.0 * static_cast<double>(n)));
+  }
+  return c;
 }
 
 const DctPlan& dct_plan(std::size_t n) {

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "linalg/backend.hpp"
+#include "linalg/matrix.hpp"
 #include "linalg/vector.hpp"
 #include "transform/fft.hpp"
 
@@ -57,12 +58,18 @@ class DctPlan {
   std::vector<double> tw_sin_;      ///< sin(-pi k / 2N)
   std::vector<float> tw_cos_f_;     ///< fp32 mirror of tw_cos_ (kMixed)
   std::vector<float> tw_sin_f_;     ///< fp32 mirror of tw_sin_ (kMixed)
-  std::vector<double> dense_;       ///< row-major dct2 matrix (slow path)
-  std::vector<double> dense_t_;     ///< its transpose: dct3 rows contiguous
+  Matrix dense_;                    ///< dct2_matrix(n) (slow path)
+  Matrix dense_t_;                  ///< its transpose: dct3 rows contiguous
   std::vector<float> dense_f_;      ///< fp32 mirror of dense_ (kMixed)
   std::vector<float> dense_t_f_;    ///< fp32 mirror of dense_t_ (kMixed)
   mutable std::vector<Complex> scratch_;
 };
+
+/// The orthonormal DCT-II matrix of length n: row k is mode k sampled at
+/// the n grid points, so C x is dct2(x) and C' y is dct3(y). Feeds the
+/// dense-table DctPlan and the GEMM-based lateral transforms of
+/// FastPoisson3D.
+Matrix dct2_matrix(std::size_t n);
 
 /// Per-thread plan cache (same lifetime contract as fft_plan()).
 const DctPlan& dct_plan(std::size_t n);

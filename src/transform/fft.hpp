@@ -43,7 +43,7 @@ class FftPlan {
 
 /// Per-thread plan cache: the returned reference stays valid for the
 /// lifetime of the calling thread. All plan-based entry points (fft, ifft,
-/// the DCTs, FastPoisson3D) share this cache.
+/// the DCTs) share this cache.
 const FftPlan& fft_plan(std::size_t n);
 
 /// In-place forward FFT through the cached plan. N must be a power of two.

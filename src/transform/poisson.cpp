@@ -1,5 +1,6 @@
 #include "transform/poisson.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "transform/dct.hpp"
@@ -11,107 +12,155 @@ namespace subspar {
 namespace {
 constexpr double kPi = 3.14159265358979323846;
 
-// Apply the 1-D orthonormal DCT (or its inverse) along one dimension of the
-// 3-D brick, through the cached plan (no per-line allocation; x-lines are
-// contiguous and transform in place).
-void transform_dim(std::vector<double>& a, const PoissonGrid& g, int dim, bool forward) {
-  const std::size_t nx = g.nx, ny = g.ny, nz = g.nz;
-  const std::size_t len = dim == 0 ? nx : (dim == 1 ? ny : nz);
-  const DctPlan& plan = dct_plan(len);
-  if (dim == 0) {
-    for (std::size_t o2 = 0; o2 < nz; ++o2)
-      for (std::size_t o1 = 0; o1 < ny; ++o1) {
-        double* line = a.data() + g.index(0, o1, o2);
-        forward ? plan.dct2(line) : plan.dct3(line);
-      }
-    return;
-  }
-  std::vector<double> buf(len);
-  const std::size_t outer1 = nx;
-  const std::size_t outer2 = dim == 2 ? ny : nz;
-  for (std::size_t o2 = 0; o2 < outer2; ++o2) {
-    for (std::size_t o1 = 0; o1 < outer1; ++o1) {
-      for (std::size_t i = 0; i < len; ++i)
-        buf[i] = a[dim == 1 ? g.index(o1, i, o2) : g.index(o1, o2, i)];
-      forward ? plan.dct2(buf.data()) : plan.dct3(buf.data());
-      for (std::size_t i = 0; i < len; ++i)
-        a[dim == 1 ? g.index(o1, i, o2) : g.index(o1, o2, i)] = buf[i];
-    }
-  }
+// Neumann grid-Laplacian eigenvalues 2 - 2 cos(pi k / n) of one lateral
+// dimension.
+std::vector<double> neumann_eigenvalues(std::size_t n) {
+  std::vector<double> mu(n);
+  for (std::size_t k = 0; k < n; ++k)
+    mu[k] = 2.0 - 2.0 * std::cos(kPi * static_cast<double>(k) / static_cast<double>(n));
+  return mu;
 }
 
 }  // namespace
 
+// Per-column scratch: the grid as (nz*ny) x nx x-lines and as ny x (nz*nx)
+// y-planes, each twice (GEMM input and output).
+struct FastPoisson3D::Workspace {
+  explicit Workspace(const PoissonGrid& g)
+      : lines(g.nz * g.ny, g.nx), lines_hat(g.nz * g.ny, g.nx), planes(g.ny, g.nz * g.nx),
+        planes_hat(g.ny, g.nz * g.nx) {}
+  Matrix lines, lines_hat, planes, planes_hat;
+};
+
 FastPoisson3D::FastPoisson3D(PoissonGrid grid) : grid_(std::move(grid)) {
-  SUBSPAR_REQUIRE(grid_.nx > 0 && grid_.ny > 0 && grid_.nz > 0);
-  SUBSPAR_REQUIRE(is_power_of_two(grid_.nx) && is_power_of_two(grid_.ny));
-  SUBSPAR_REQUIRE(grid_.lateral_g.size() == grid_.nz);
-  SUBSPAR_REQUIRE(grid_.vertical_g.size() + 1 == grid_.nz || grid_.nz == 1);
-  mu_x_.resize(grid_.nx);
-  mu_y_.resize(grid_.ny);
-  for (std::size_t k = 0; k < grid_.nx; ++k)
-    mu_x_[k] = 2.0 - 2.0 * std::cos(kPi * static_cast<double>(k) / static_cast<double>(grid_.nx));
-  for (std::size_t k = 0; k < grid_.ny; ++k)
-    mu_y_[k] = 2.0 - 2.0 * std::cos(kPi * static_cast<double>(k) / static_cast<double>(grid_.ny));
-}
+  const PoissonGrid& g = grid_;
+  SUBSPAR_REQUIRE(g.nx > 0 && g.ny > 0 && g.nz > 0);
+  SUBSPAR_REQUIRE(is_power_of_two(g.nx) && is_power_of_two(g.ny));
+  SUBSPAR_REQUIRE(g.lateral_g.size() == g.nz);
+  SUBSPAR_REQUIRE(g.vertical_g.size() + 1 == g.nz || g.nz == 1);
+  cx_ = dct2_matrix(g.nx);
+  cy_ = dct2_matrix(g.ny);
+  const std::vector<double> mu_x = neumann_eigenvalues(g.nx);
+  const std::vector<double> mu_y = neumann_eigenvalues(g.ny);
 
-Vector FastPoisson3D::solve(const Vector& b) const {
-  const auto& g = grid_;
-  SUBSPAR_REQUIRE(b.size() == g.size());
-  std::vector<double> a(b.begin(), b.end());
-  transform_dim(a, g, /*dim=*/0, /*forward=*/true);
-  transform_dim(a, g, /*dim=*/1, /*forward=*/true);
+  // Floating constant mode: anchor weakly so the solve stays defined
+  // (approximates the pseudo-inverse with a huge finite response).
+  const bool floating = g.top_g == 0.0 && g.bottom_g == 0.0;
+  double gmax = 0.0;
+  for (double v : g.vertical_g) gmax = std::max(gmax, v);
+  for (double v : g.lateral_g) gmax = std::max(gmax, v);
+  const double anchor = 1e-10 * (gmax > 0.0 ? gmax : 1.0);
 
-  // Per-(kx, ky) tridiagonal solve along z (Thomas algorithm).
-  const std::size_t nz = g.nz;
-  std::vector<double> diag(nz), rhs(nz), cprime(nz);
+  // Thomas elimination of each (kx, ky) mode's tridiagonal z-system; only
+  // the right-hand side is left for solve time.
+  const std::size_t nx = g.nx, nz = g.nz;
+  inv_pivot_.resize(g.size());
+  cprime_.resize(g.size());
   for (std::size_t ky = 0; ky < g.ny; ++ky) {
-    for (std::size_t kx = 0; kx < g.nx; ++kx) {
-      const double lat = mu_x_[kx] + mu_y_[ky];
+    for (std::size_t kx = 0; kx < nx; ++kx) {
+      const double lat = mu_x[kx] + mu_y[ky];
+      double cprev = 0.0;
       for (std::size_t z = 0; z < nz; ++z) {
         double d = g.lateral_g[z] * lat;
         if (z > 0) d += g.vertical_g[z - 1];
         if (z + 1 < nz) d += g.vertical_g[z];
         if (z == nz - 1) d += g.top_g;
         if (z == 0) d += g.bottom_g;
-        diag[z] = d;
-        rhs[z] = a[g.index(kx, ky, z)];
-      }
-      if (kx == 0 && ky == 0 && g.top_g == 0.0 && g.bottom_g == 0.0) {
-        // Floating constant mode: anchor weakly so the solve stays defined
-        // (approximates the pseudo-inverse with a huge finite response).
-        double gmax = 0.0;
-        for (double v : g.vertical_g) gmax = std::max(gmax, v);
-        for (double v : g.lateral_g) gmax = std::max(gmax, v);
-        diag[nz - 1] += 1e-10 * (gmax > 0.0 ? gmax : 1.0);
-      }
-      // Thomas forward sweep.
-      double d0 = diag[0];
-      SUBSPAR_ENSURE(d0 != 0.0);
-      cprime[0] = (nz > 1) ? -g.vertical_g[0] / d0 : 0.0;
-      rhs[0] /= d0;
-      for (std::size_t z = 1; z < nz; ++z) {
-        const double lower = -g.vertical_g[z - 1];
-        const double m = diag[z] - lower * cprime[z - 1];
+        if (z == nz - 1 && kx == 0 && ky == 0 && floating) d += anchor;
+        const double m = z == 0 ? d : d + g.vertical_g[z - 1] * cprev;
         SUBSPAR_ENSURE(m != 0.0);
-        cprime[z] = (z + 1 < nz) ? -g.vertical_g[z] / m : 0.0;
-        rhs[z] = (rhs[z] - lower * rhs[z - 1]) / m;
+        cprev = z + 1 < nz ? -g.vertical_g[z] / m : 0.0;
+        const std::size_t at = (ky * nz + z) * nx + kx;
+        inv_pivot_[at] = 1.0 / m;
+        cprime_[at] = cprev;
       }
-      for (std::size_t z = nz - 1; z-- > 0;) rhs[z] -= cprime[z] * rhs[z + 1];
-      for (std::size_t z = 0; z < nz; ++z) a[g.index(kx, ky, z)] = rhs[z];
+    }
+  }
+}
+
+void FastPoisson3D::solve_column(const double* b, double* x, Workspace& ws) const {
+  const PoissonGrid& g = grid_;
+  const std::size_t nx = g.nx, ny = g.ny, nz = g.nz;
+  Matrix& lines = ws.lines;
+  Matrix& lines_hat = ws.lines_hat;
+  Matrix& planes = ws.planes;
+  Matrix& planes_hat = ws.planes_hat;
+  // The grid index x + nx (y + ny z) makes b the row-major (nz*ny) x nx
+  // matrix of its x-lines.
+  std::copy(b, b + g.size(), lines.row_ptr(0));
+  const auto zero = [](Matrix& m) {
+    std::fill(m.row_ptr(0), m.row_ptr(0) + m.rows() * m.cols(), 0.0);
+  };
+  // [z][y][x] <-> [y][z][x] plane reorder between the two lateral
+  // transforms: y-lines become the columns of an ny x (nz*nx) matrix.
+  const auto to_planes = [&](const Matrix& src, Matrix& dst) {
+    for (std::size_t z = 0; z < nz; ++z)
+      for (std::size_t y = 0; y < ny; ++y)
+        std::copy(src.row_ptr(z * ny + y), src.row_ptr(z * ny + y) + nx, dst.row_ptr(y) + z * nx);
+  };
+  const auto to_lines = [&](const Matrix& src, Matrix& dst) {
+    for (std::size_t z = 0; z < nz; ++z)
+      for (std::size_t y = 0; y < ny; ++y)
+        std::copy(src.row_ptr(y) + z * nx, src.row_ptr(y) + (z + 1) * nx, dst.row_ptr(z * ny + y));
+  };
+
+  zero(lines_hat);
+  matmul_nt_add(lines_hat, lines, cx_);  // x-lines -> kx
+  to_planes(lines_hat, planes);
+  zero(planes_hat);
+  matmul_add(planes_hat, cy_, planes);  // y -> ky: rows [ky][z][kx]
+
+  // Tridiagonal z-solves of every (kx, ky) mode: forward elimination and
+  // back substitution, each a sweep over contiguous kx rows.
+  for (std::size_t ky = 0; ky < ny; ++ky) {
+    double* spec = planes_hat.row_ptr(ky);
+    const double* inv = inv_pivot_.data() + ky * nz * nx;
+    const double* cp = cprime_.data() + ky * nz * nx;
+    for (std::size_t kx = 0; kx < nx; ++kx) spec[kx] *= inv[kx];
+    for (std::size_t z = 1; z < nz; ++z) {
+      double* cur = spec + z * nx;
+      const double* prev = cur - nx;
+      const double* piv = inv + z * nx;
+      const double gz = g.vertical_g[z - 1];
+      for (std::size_t kx = 0; kx < nx; ++kx) cur[kx] = (cur[kx] + gz * prev[kx]) * piv[kx];
+    }
+    for (std::size_t z = nz - 1; z-- > 0;) {
+      double* cur = spec + z * nx;
+      const double* next = cur + nx;
+      const double* c = cp + z * nx;
+      for (std::size_t kx = 0; kx < nx; ++kx) cur[kx] -= c[kx] * next[kx];
     }
   }
 
-  transform_dim(a, g, /*dim=*/1, /*forward=*/false);
-  transform_dim(a, g, /*dim=*/0, /*forward=*/false);
-  return Vector(std::move(a));
+  zero(planes);
+  matmul_tn_add(planes, cy_, planes_hat);  // ky -> y
+  to_lines(planes, lines_hat);
+  zero(lines);
+  matmul_add(lines, lines_hat, cx_);  // kx -> x-lines
+  std::copy(lines.row_ptr(0), lines.row_ptr(0) + g.size(), x);
+}
+
+Vector FastPoisson3D::solve(const Vector& b) const {
+  SUBSPAR_REQUIRE(b.size() == grid_.size());
+  Vector x(b.size());
+  Workspace ws(grid_);
+  solve_column(b.data(), x.data(), ws);
+  return x;
 }
 
 Matrix FastPoisson3D::solve_many(const Matrix& b) const {
   SUBSPAR_REQUIRE(b.rows() == grid_.size());
-  Matrix x(b.rows(), b.cols());
-  parallel_for(b.cols(), [&](std::size_t j) { x.set_col(j, solve(b.col(j))); });
-  return x;
+  const std::size_t k = b.cols();
+  // One blocked transpose makes every column contiguous; each task then
+  // solves a fixed stride of columns on one workspace.
+  const Matrix bt = b.transposed();
+  Matrix xt(k, b.rows());
+  const std::size_t tasks = std::min(k, thread_count());
+  parallel_for(tasks, [&](std::size_t t) {
+    Workspace ws(grid_);
+    for (std::size_t j = t; j < k; j += tasks) solve_column(bt.row_ptr(j), xt.row_ptr(j), ws);
+  });
+  return xt.transposed();
 }
 
 Vector FastPoisson3D::apply(const Vector& x) const {

@@ -10,6 +10,13 @@
 // the paper's p parameter: p = 1 gives the pure-Dirichlet preconditioner,
 // p = 0 pure-Neumann, intermediate values the area-weighted variant of
 // Table 2.1.
+//
+// The lateral transforms are dense orthonormal DCT-II matrices applied
+// through the GEMM layer: a grid vector viewed as the (nz*ny) x nx matrix of
+// its x-lines is one product with C_x', and after a plane reorder to
+// ny x (nz*nx) the y-transform is one product with C_y. The tridiagonal
+// pivots of every (kx, ky) mode are factored once at construction, so each
+// z-solve is two streaming sweeps over contiguous kx rows.
 #pragma once
 
 #include <cstddef>
@@ -40,17 +47,18 @@ struct PoissonGrid {
 
 class FastPoisson3D {
  public:
-  /// nx and ny must be powers of two (fast DCT path); nz is arbitrary.
+  /// nx and ny must be powers of two, like the FD grids this
+  /// preconditions; nz is arbitrary.
   explicit FastPoisson3D(PoissonGrid grid);
 
-  /// Exact solve of M x = b in O(N log N). If the grid is floating (no top
-  /// or bottom anchors), the all-constant mode is regularized by a tiny
+  /// Exact solve of M x = b in O(N (nx + ny)). If the grid is floating (no
+  /// top or bottom anchors), the all-constant mode is regularized by a tiny
   /// anchor so M stays usable as an SPD preconditioner.
   Vector solve(const Vector& b) const;
 
   /// X = M^{-1} B for k right-hand-side columns, fanned out over the
-  /// util/parallel pool. Per-column arithmetic is exactly solve()'s, so
-  /// columns are bit-identical to single solves for any SUBSPAR_THREADS.
+  /// util/parallel pool. Each column runs solve()'s routine, so columns are
+  /// bit-identical to single solves for any SUBSPAR_THREADS.
   Matrix solve_many(const Matrix& b) const;
 
   /// y = M x (real-space stencil application) for validation.
@@ -59,8 +67,16 @@ class FastPoisson3D {
   const PoissonGrid& grid() const { return grid_; }
 
  private:
+  struct Workspace;
+  /// x = M^{-1} b for one contiguous grid vector, on caller-owned scratch.
+  void solve_column(const double* b, double* x, Workspace& ws) const;
+
   PoissonGrid grid_;
-  std::vector<double> mu_x_, mu_y_;  // Neumann Laplacian eigenvalues
+  Matrix cx_, cy_;  // dct2_matrix(nx), dct2_matrix(ny)
+  // Thomas factors of every (kx, ky) mode's z-system, laid out like the
+  // spectral planes ([ky][z][kx]): reciprocal pivots and the eliminated
+  // super-diagonal c'.
+  std::vector<double> inv_pivot_, cprime_;
 };
 
 }  // namespace subspar

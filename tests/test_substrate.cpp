@@ -3,10 +3,13 @@
 // the preconditioner behaviour behind Table 2.1.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 
 #include "geometry/layout_gen.hpp"
+#include "linalg/sparse.hpp"
 #include "substrate/eigen_solver.hpp"
 #include "substrate/fd_solver.hpp"
 #include "substrate/multigrid.hpp"
@@ -402,6 +405,96 @@ TEST(FdSolver, WelledSubstrateStillSymmetricAndDominant) {
   for (std::size_t i = 0; i < g.rows(); ++i) EXPECT_GT(g(i, i), 0.0);
 }
 
+// The grid-of-resistors matrix through a triplet SparseBuilder, stamped as
+// the FD solver did before its rows were written straight into CSR:
+// neighbours in x-, x+, y-, y+, z-, z+ order, then the backplane and contact
+// couplings, identity rows for removed nodes, exact zeros dropped on build.
+SparseMatrix builder_grid_laplacian(const GridSpec& s) {
+  auto gone = [&](std::size_t i) { return !s.removed.empty() && s.removed[i]; };
+  std::vector<double> gz(s.nz - 1);
+  for (std::size_t z = 0; z + 1 < s.nz; ++z)
+    gz[z] = 2.0 * s.h * s.sigma[z] * s.sigma[z + 1] / (s.sigma[z] + s.sigma[z + 1]);
+  SparseBuilder bld(s.size(), s.size());
+  for (std::size_t z = 0; z < s.nz; ++z) {
+    const double gl = s.sigma[z] * s.h;
+    for (std::size_t y = 0; y < s.ny; ++y) {
+      for (std::size_t x = 0; x < s.nx; ++x) {
+        const std::size_t i = s.index(x, y, z);
+        if (gone(i)) {
+          bld.add(i, i, 1.0);
+          continue;
+        }
+        double diag = 0.0;
+        auto stamp = [&](std::size_t j, double g) {
+          if (gone(j)) return;
+          bld.add(i, j, -g);
+          diag += g;
+        };
+        if (x > 0) stamp(s.index(x - 1, y, z), gl);
+        if (x + 1 < s.nx) stamp(s.index(x + 1, y, z), gl);
+        if (y > 0) stamp(s.index(x, y - 1, z), gl);
+        if (y + 1 < s.ny) stamp(s.index(x, y + 1, z), gl);
+        if (z > 0) stamp(s.index(x, y, z - 1), gz[z - 1]);
+        if (z + 1 < s.nz) stamp(s.index(x, y, z + 1), gz[z]);
+        if (z == 0 && s.g_bottom != 0.0) diag += s.g_bottom;
+        if (z == s.nz - 1 && s.g_top[x + s.nx * y] != 0.0) diag += s.g_top[x + s.nx * y];
+        bld.add(i, i, diag > 0.0 ? diag : 1.0);
+      }
+    }
+  }
+  return SparseMatrix(bld);
+}
+
+GridSpec fd_assembly_spec(double g_bottom) {
+  GridSpec s;
+  s.nx = 8;
+  s.ny = 4;
+  s.nz = 6;
+  s.h = 2.0;
+  s.sigma = {0.1, 100.0, 100.0, 37.5, 1.0, 1.0};
+  s.g_top.assign(s.nx * s.ny, 0.0);
+  for (std::size_t k = 0; k < s.g_top.size(); k += 3) s.g_top[k] = 4.0;
+  s.g_bottom = g_bottom;
+  return s;
+}
+
+void expect_same_csr(const SparseMatrix& got, const SparseMatrix& ref) {
+  ASSERT_EQ(got.rows(), ref.rows());
+  ASSERT_EQ(got.cols(), ref.cols());
+  ASSERT_EQ(got.nnz(), ref.nnz());
+  for (std::size_t i = 0; i < ref.rows(); ++i) {
+    ASSERT_EQ(got.row_begin(i), ref.row_begin(i)) << "row " << i;
+    ASSERT_EQ(got.row_end(i), ref.row_end(i)) << "row " << i;
+  }
+  for (std::size_t t = 0; t < ref.nnz(); ++t) {
+    ASSERT_EQ(got.col_index(t), ref.col_index(t)) << "entry " << t;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got.value(t)),
+              std::bit_cast<std::uint64_t>(ref.value(t)))
+        << "entry " << t;
+  }
+}
+
+TEST(FdLaplacian, DirectCsrMatchesBuilderOnGroundedGrid) {
+  const GridSpec s = fd_assembly_spec(/*g_bottom=*/0.2);
+  expect_same_csr(assemble_grid_laplacian(s), builder_grid_laplacian(s));
+}
+
+TEST(FdLaplacian, DirectCsrMatchesBuilderOnFloatingGrid) {
+  GridSpec s = fd_assembly_spec(/*g_bottom=*/0.0);
+  s.sigma[2] = 0.0;  // an insulating plane: its exact-zero couplings are dropped
+  const SparseMatrix ref = builder_grid_laplacian(s);
+  EXPECT_LT(ref.nnz(), builder_grid_laplacian(fd_assembly_spec(0.0)).nnz());
+  expect_same_csr(assemble_grid_laplacian(s), ref);
+}
+
+TEST(FdLaplacian, DirectCsrMatchesBuilderOnWelledGrid) {
+  GridSpec s = fd_assembly_spec(/*g_bottom=*/0.2);
+  s.removed.assign(s.size(), 0);
+  for (std::size_t z = s.nz - 3; z < s.nz; ++z)
+    for (std::size_t y = 1; y < 3; ++y)
+      for (std::size_t x = 2; x < 5; ++x) s.removed[s.index(x, y, z)] = 1;
+  expect_same_csr(assemble_grid_laplacian(s), builder_grid_laplacian(s));
+}
 
 // ---------------------------------------------------------------- multigrid
 

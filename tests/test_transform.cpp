@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "linalg/cholesky.hpp"
 #include "linalg/matrix.hpp"
@@ -249,6 +250,107 @@ TEST_P(PoissonTopG, SolveExactAcrossTopCouplings) {
 }
 
 INSTANTIATE_TEST_SUITE_P(TopCouplings, PoissonTopG, ::testing::Values(0.05, 0.25, 1.0, 4.0));
+
+// The two contracts poisson.hpp states for solve_many: every column equals
+// solve() of that column bit for bit, and the block is bit-identical at 1
+// and 4 threads.
+PoissonGrid wide_grid() {  // nx != ny
+  PoissonGrid g = small_grid(0.6, 0.3);
+  g.nx = 16;
+  g.ny = 4;
+  return g;
+}
+
+PoissonGrid single_plane_grid() {  // nz = 1
+  PoissonGrid g;
+  g.nx = 8;
+  g.ny = 16;
+  g.nz = 1;
+  g.lateral_g = {1.5};
+  g.top_g = 0.7;
+  return g;
+}
+
+PoissonGrid fd_benchmark_grid() {  // the 32 x 32 x 20 grid of wavelet-fd-256
+  PoissonGrid g;
+  g.nx = g.ny = 32;
+  g.nz = 20;
+  // sigma h of SubstrateStack({{2, 1}, {36, 100}, {2, 0.1}}) at h = 2,
+  // bottom plane first.
+  g.lateral_g.assign(g.nz, 200.0);
+  g.lateral_g.front() = 0.2;
+  g.lateral_g.back() = 2.0;
+  g.vertical_g.resize(g.nz - 1);
+  for (std::size_t z = 0; z + 1 < g.nz; ++z)
+    g.vertical_g[z] = 2.0 * g.lateral_g[z] * g.lateral_g[z + 1] /
+                      (g.lateral_g[z] + g.lateral_g[z + 1]);
+  g.top_g = 0.25 * 4.0;  // area-weighted p = 1/4 times the contact coupling
+  g.bottom_g = 0.4;       // grounded backplane
+  return g;
+}
+
+class PoissonContracts : public ::testing::TestWithParam<int> {
+ protected:
+  static PoissonGrid grid(int which) {
+    switch (which) {
+      case 0: return small_grid(0.4, 0.0);
+      case 1: return small_grid(0.0, 0.0);  // floating: constant-mode anchor
+      case 2: return wide_grid();
+      case 3: return single_plane_grid();
+      default: return fd_benchmark_grid();
+    }
+  }
+};
+
+TEST_P(PoissonContracts, SolveManyColumnsEqualSolveBitwise) {
+  const FastPoisson3D fp(grid(GetParam()));
+  const std::size_t n = fp.grid().size(), k = 5;
+  Rng rng(80 + static_cast<std::uint64_t>(GetParam()));
+  Matrix b(n, k);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < k; ++j) b(i, j) = rng.normal();
+  const Matrix x = fp.solve_many(b);
+  ASSERT_EQ(x.rows(), n);
+  ASSERT_EQ(x.cols(), k);
+  for (std::size_t j = 0; j < k; ++j) {
+    const Vector xj = fp.solve(b.col(j));
+    for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(x(i, j), xj[i]) << "col " << j << " row " << i;
+  }
+  // And solve() inverts the stencil (the floating grid's anchored
+  // constant mode aside).
+  if (fp.grid().top_g > 0.0 || fp.grid().bottom_g > 0.0) {
+    const Vector x0 = fp.solve(b.col(0));
+    EXPECT_LT(norm2(fp.apply(x0) - b.col(0)), 1e-9 * norm2(b.col(0)));
+  }
+}
+
+TEST_P(PoissonContracts, SolveManyBitIdenticalAcrossThreadCounts) {
+  const FastPoisson3D fp(grid(GetParam()));
+  const std::size_t n = fp.grid().size(), k = 7;
+  Rng rng(90 + static_cast<std::uint64_t>(GetParam()));
+  Matrix b(n, k);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < k; ++j) b(i, j) = rng.normal();
+  set_thread_count(1);
+  const Matrix one = fp.solve_many(b);
+  const Vector single_one = fp.solve(b.col(3));
+  set_thread_count(4);
+  const Matrix four = fp.solve_many(b);
+  const Vector single_four = fp.solve(b.col(3));
+  set_thread_count(1);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < k; ++j) ASSERT_EQ(one(i, j), four(i, j)) << i << "," << j;
+    ASSERT_EQ(single_one[i], single_four[i]) << i;
+  }
+}
+
+std::string poisson_grid_name(const ::testing::TestParamInfo<int>& info) {
+  static const char* const kNames[] = {"SmallGrid", "FloatingGrid", "NxNotNy", "NzOne",
+                                       "Fd32x32x20"};
+  return kNames[info.param];
+}
+
+INSTANTIATE_TEST_SUITE_P(Grids, PoissonContracts, ::testing::Range(0, 5), poisson_grid_name);
 
 }  // namespace
 }  // namespace subspar
