@@ -133,6 +133,39 @@ void BM_GramTn(benchmark::State& state) {
 }
 BENCHMARK(BM_GramTn)->Arg(64)->Arg(256);
 
+// Block-PCG algebra at its two block heights (range = rows): 4,096 is a
+// wavelet-surface-1024 panel block, 20,480 the FD grid of wavelet-fd-256,
+// both 16 columns wide. BM_TallGram is one Gram product P'Q (16 x 16
+// output), BM_TallUpdate one direction update Z += P B (16 x 16 B); both
+// take dense_kernels.cpp's row-streaming tall-skinny path. Items =
+// multiply-accumulates.
+void BM_TallGram(benchmark::State& state) {
+  const auto rows = static_cast<std::size_t>(state.range(0));
+  const Matrix p = random_dense(rows, 16, 11);
+  const Matrix q = random_dense(rows, 16, 12);
+  for (auto _ : state) {
+    const Matrix g = matmul_tn(p, q);
+    benchmark::DoNotOptimize(g(0, 0));
+  }
+  state.SetItemsProcessed(static_cast<long>(state.iterations()) *
+                          static_cast<long>(rows * 16 * 16));
+}
+BENCHMARK(BM_TallGram)->Arg(4096)->Arg(20480);
+
+void BM_TallUpdate(benchmark::State& state) {
+  const auto rows = static_cast<std::size_t>(state.range(0));
+  const Matrix p = random_dense(rows, 16, 13);
+  const Matrix beta = random_dense(16, 16, 14);
+  Matrix z = random_dense(rows, 16, 15);
+  for (auto _ : state) {
+    matmul_add(z, p, beta, 1e-3);
+    benchmark::DoNotOptimize(z(0, 0));
+  }
+  state.SetItemsProcessed(static_cast<long>(state.iterations()) *
+                          static_cast<long>(rows * 16 * 16));
+}
+BENCHMARK(BM_TallUpdate)->Arg(4096)->Arg(20480);
+
 // Tall-matrix SVD, the low-rank sampling shape: QR-preconditioned path vs
 // the plain one-sided Jacobi baseline it replaced.
 void BM_TallSvd(benchmark::State& state) {

@@ -1,6 +1,6 @@
 // Runtime-dispatched SIMD kernel backend (ROADMAP item 4).
 //
-// The hot kernels — the packed GEMM micro-kernel, the multi-RHS CSR
+// The hot kernels — the packed and tall-skinny GEMM kernels, the multi-RHS CSR
 // SpMM row kernels, and the DCT twiddle/dense loops — are compiled several
 // times into per-ISA translation units (scalar baseline, AVX2+FMA, AVX-512,
 // NEON) and selected ONCE per process through a table of function pointers.
@@ -59,6 +59,22 @@ struct KernelOps {
   void (*gemm_f64)(const double* ap, const double* bp, std::size_t k, double* acc);
   /// Mixed GEMM micro-kernel: fp32-packed strips, fp64 accumulators.
   void (*gemm_f32)(const float* ap, const float* bp, std::size_t k, double* acc);
+
+  /// Tall-skinny GEMM (dense_kernels.cpp's row-streaming path), read
+  /// straight from the row-major operands. Every output is gemm_f64's
+  /// ascending-depth multiply-add chain from zero, contracted the same way,
+  /// so the result is bit-identical to the packed path's accumulator.
+  /// TN Gram shape: acc[i * 16 + j] = sum_l a[l * m + i] * b[l * n + j]
+  /// over the k rows of the k x m and k x n operands (m, n <= 16); acc is
+  /// 16 x 16 and its entries outside m x n are unspecified.
+  void (*gemm_tn_tall_f64)(const double* a, std::size_t m, const double* b, std::size_t n,
+                           std::size_t k, double* acc);
+  /// NN update shape: acc[r * 16 + j] = sum_l a[r * kk + l] * b16[l * 16 + j]
+  /// for `rows` rows of the row-major rows x kk operand (kk <= 16) and
+  /// j < n <= 16; b16 is the kk x n right operand zero-padded to 16
+  /// columns, and acc's columns at and past n are unspecified.
+  void (*gemm_nn_tall_f64)(const double* a, std::size_t kk, std::size_t rows,
+                           const double* b16, std::size_t n, double* acc);
 
   /// One CSR output row of Y = A X: yrow[j] = sum_e vals[e] * x(cols[e], j)
   /// for all k right-hand-side columns (x row-major with leading dim ldx).

@@ -19,6 +19,20 @@
 // Products too small to amortize packing fall through to the naive
 // streaming loops (the dispatch depends only on shapes, never on the
 // thread count, so determinism is unaffected).
+//
+// Tall-skinny products above that threshold skip packing too: a TN product
+// whose output is at most 16 x 16 (the block-Krylov Gram products) and an
+// NN product whose right operand is at most 16 x 16 (the block direction
+// and iterate updates). Packing would copy the whole tall operand into
+// strips to produce one small tile; the row-streaming kernels
+// (KernelOps::gemm_tn_tall_f64 / gemm_nn_tall_f64) read it in place
+// instead. They are bit-identical to the packed path: each output is the
+// same ascending-depth multiply-add chain from zero, contracted exactly as
+// gemm_f64 is, and the final C += alpha * acc is the same store_tile_row
+// below, in this baseline-flag translation unit (GCC before 14 fuses
+// autovectorized loops in the -mfma units despite -ffp-contract=off, so it
+// cannot move into the backend). The TN chain runs as one task, like the
+// single output tile it replaces; NN rows split into fixed TALL_ROWS chunks.
 // The MR x NR register block itself lives in the runtime-dispatched kernel
 // backend (linalg/backend.hpp): this file owns packing, tiling, and
 // dispatch; KernelOps::gemm_f64 / gemm_f32 own the inner loop. The fp32
@@ -45,6 +59,8 @@ constexpr std::size_t TILE_M = 64;  // output tile owned by one task
 constexpr std::size_t TILE_N = 64;
 // Below this flop count the packing setup outweighs the locality win.
 constexpr std::size_t SMALL_FLOPS = 32 * 1024;
+constexpr std::size_t TALL = 16;        // widest narrow side the tall-skinny path takes
+constexpr std::size_t TALL_ROWS = 128;  // NN output rows per task
 
 // Logical element readers: a(i, l) and b(l, j) of the m x k by k x n
 // product, independent of storage orientation.
@@ -151,6 +167,18 @@ Packed<T>& pack_operands(const Matrix& a, const Matrix& b, Op op, std::size_t m,
   return pk;
 }
 
+// C row segment += alpha * accumulator row (= when !accumulate): the one
+// place a kernel accumulator meets alpha and C, shared by the packed and
+// tall-skinny paths so both round it identically.
+void store_tile_row(double* crow, const double* acc, double alpha, bool accumulate,
+                    std::size_t cols) {
+  if (accumulate) {
+    for (std::size_t cc = 0; cc < cols; ++cc) crow[cc] += alpha * acc[cc];
+  } else {
+    for (std::size_t cc = 0; cc < cols; ++cc) crow[cc] = alpha * acc[cc];
+  }
+}
+
 // One output tile: C[i0:i0+mc, j0:j0+nc] += alpha * (A B) restricted to the
 // tile, from the shared packed strips. Runs on a single task. The micro-
 // kernel comes from the active backend; accumulators are fp64 either way.
@@ -169,23 +197,48 @@ void compute_tile(const KernelOps& ops, Matrix& c, const Packed<T>& pk, double a
         ops.gemm_f32(ap, bp, k, &acc[0][0]);
       else
         ops.gemm_f64(ap, bp, k, &acc[0][0]);
-      for (std::size_t r = 0; r < rows; ++r) {
-        double* crow = c.row_ptr(i0 + ir + r) + j0 + jr;
-        if (accumulate) {
-          for (std::size_t cc = 0; cc < cols; ++cc) crow[cc] += alpha * acc[r][cc];
-        } else {
-          for (std::size_t cc = 0; cc < cols; ++cc) crow[cc] = alpha * acc[r][cc];
-        }
-      }
+      for (std::size_t r = 0; r < rows; ++r)
+        store_tile_row(c.row_ptr(i0 + ir + r) + j0 + jr, acc[r], alpha, accumulate, cols);
     }
   }
+}
+
+// Row-streaming TN product C (m x n, both <= TALL) += alpha A' B over the
+// k rows of A and B: one kernel call on the calling task.
+void gemm_tall_tn(const KernelOps& ops, Matrix& c, const Matrix& a, const Matrix& b,
+                  double alpha, bool accumulate) {
+  const std::size_t m = c.rows(), n = c.cols();
+  double acc[TALL * TALL];
+  ops.gemm_tn_tall_f64(a.row_ptr(0), m, b.row_ptr(0), n, a.rows(), acc);
+  for (std::size_t i = 0; i < m; ++i)
+    store_tile_row(c.row_ptr(i), acc + i * TALL, alpha, accumulate, n);
+}
+
+// Row-streaming NN product C (m x n) += alpha A B with B at most TALL x
+// TALL, padded once to TALL columns; fixed TALL_ROWS chunks of C's rows
+// run as independent tasks.
+void gemm_tall_nn(const KernelOps& ops, Matrix& c, const Matrix& a, const Matrix& b,
+                  double alpha, bool accumulate) {
+  const std::size_t m = c.rows(), n = c.cols(), kk = a.cols();
+  double b16[TALL * TALL] = {};
+  for (std::size_t l = 0; l < kk; ++l)
+    for (std::size_t j = 0; j < n; ++j) b16[l * TALL + j] = b(l, j);
+  parallel_for((m + TALL_ROWS - 1) / TALL_ROWS, [&](std::size_t t) {
+    const std::size_t r0 = t * TALL_ROWS, rows = std::min(TALL_ROWS, m - r0);
+    double acc[TALL_ROWS * TALL];
+    ops.gemm_nn_tall_f64(a.row_ptr(r0), kk, rows, b16, n, acc);
+    for (std::size_t r = 0; r < rows; ++r)
+      store_tile_row(c.row_ptr(r0 + r), acc + r * TALL, alpha, accumulate, n);
+  });
 }
 
 // C += alpha op(A) op(B) (or C = alpha op(A) op(B) when accumulate is
 // false: a fresh zero C need not be re-read). Dispatch depends only on the
 // shapes and the requested precision. Products below the packing threshold
 // take the fp64 naive path even in mixed mode: the fp32 win is bandwidth,
-// and there is none to save on a product that fits in cache.
+// and there is none to save on a product that fits in cache. Mixed mode
+// keeps the packed path for tall-skinny shapes too (its fp32 strips are the
+// point of it).
 void gemm_add(Matrix& c, const Matrix& a, const Matrix& b, Op op, double alpha,
               bool accumulate = true, Precision precision = Precision::kFp64) {
   const std::size_t m = c.rows(), n = c.cols();
@@ -196,6 +249,16 @@ void gemm_add(Matrix& c, const Matrix& a, const Matrix& b, Op op, double alpha,
     return;
   }
   const KernelOps& ops = kernel_ops();
+  if (precision == Precision::kFp64) {
+    if (op == Op::TN && m <= TALL && n <= TALL) {
+      gemm_tall_tn(ops, c, a, b, alpha, accumulate);
+      return;
+    }
+    if (op == Op::NN && k <= TALL && n <= TALL) {
+      gemm_tall_nn(ops, c, a, b, alpha, accumulate);
+      return;
+    }
+  }
   const std::size_t mt = (m + TILE_M - 1) / TILE_M;
   const std::size_t nt = (n + TILE_N - 1) / TILE_N;
   const auto run_tiles = [&](const auto& pk) {

@@ -22,7 +22,10 @@ EigSym eig_sym(const Matrix& a_in) {
     double off = 0.0;
     for (std::size_t i = 0; i < n; ++i)
       for (std::size_t j = i + 1; j < n; ++j) off += a(i, j) * a(i, j);
-    if (std::sqrt(off) <= 1e-14 * (1.0 + a.frobenius_norm())) break;
+    // Relative to ||A||: an absolute floor would stop a tiny-scale matrix
+    // (a Gram block at rounding level, ||A|| ~ 1e-29) before its first
+    // sweep and return its diagonal as the spectrum.
+    if (std::sqrt(off) <= 1e-14 * a.frobenius_norm()) break;
     for (std::size_t p = 0; p + 1 < n; ++p) {
       for (std::size_t q = p + 1; q < n; ++q) {
         if (a(p, q) == 0.0) continue;

@@ -147,12 +147,13 @@ Ic0Factor ic0_factor(const SparseMatrix& a) {
   return f;
 }
 
-Matrix ic0_solve_many(const Ic0Factor& f, const Matrix& b) {
+namespace {
+
+// (L L')^{-1} applied in place to the n x k block x.
+void ic0_solve_in_place(const Ic0Factor& f, Matrix& x) {
   const std::size_t n = f.rows();
-  const std::size_t k = b.cols();
-  SUBSPAR_REQUIRE(b.rows() == n);
-  Matrix x = b;
-  if (n == 0 || k == 0) return x;
+  const std::size_t k = x.cols();
+  if (n == 0 || k == 0) return;
   // Forward: L y = b. Rows of one level are independent (their off-diagonal
   // columns all lie in earlier levels), so each level is one parallel_for;
   // a row's k columns are swept in its contiguous slice.
@@ -191,6 +192,14 @@ Matrix ic0_solve_many(const Ic0Factor& f, const Matrix& b) {
       }
     });
   }
+}
+
+}  // namespace
+
+Matrix ic0_solve_many(const Ic0Factor& f, const Matrix& b) {
+  SUBSPAR_REQUIRE(b.rows() == f.rows());
+  Matrix x = b;
+  ic0_solve_in_place(f, x);
   return x;
 }
 
@@ -204,21 +213,23 @@ Ic0Preconditioner::Ic0Preconditioner(const SparseMatrix& a, std::vector<std::siz
     : perm_(std::move(perm)),
       factor_(perm_.empty() ? ic0_factor(a) : ic0_factor(a.permuted(perm_))) {}
 
-Matrix Ic0Preconditioner::apply_many(const Matrix& r) const {
-  if (perm_.empty()) return ic0_solve_many(factor_, r);
+void Ic0Preconditioner::apply_many(const Matrix& r, Matrix& z) const {
   const std::size_t n = factor_.rows();
   const std::size_t k = r.cols();
-  SUBSPAR_REQUIRE(r.rows() == n);
+  SUBSPAR_REQUIRE(r.rows() == n && z.rows() == n && z.cols() == k);
+  if (perm_.empty()) {
+    z = r;
+    ic0_solve_in_place(factor_, z);
+    return;
+  }
   // z = P' (L L')^{-1} P r: gather rows by the permutation, solve on the
   // reordered factor, scatter back.
-  Matrix rp(n, k);
+  Matrix yp(n, k);
   for (std::size_t i = 0; i < n; ++i)
-    std::copy(r.row_ptr(perm_[i]), r.row_ptr(perm_[i]) + k, rp.row_ptr(i));
-  const Matrix yp = ic0_solve_many(factor_, rp);
-  Matrix z(n, k);
+    std::copy(r.row_ptr(perm_[i]), r.row_ptr(perm_[i]) + k, yp.row_ptr(i));
+  ic0_solve_in_place(factor_, yp);
   for (std::size_t i = 0; i < n; ++i)
     std::copy(yp.row_ptr(i), yp.row_ptr(i) + k, z.row_ptr(perm_[i]));
-  return z;
 }
 
 }  // namespace subspar

@@ -79,7 +79,7 @@ class Ic0Preconditioner final : public Preconditioner {
   /// of [0, a.rows())).
   explicit Ic0Preconditioner(const SparseMatrix& a, std::vector<std::size_t> perm = {});
 
-  Matrix apply_many(const Matrix& r) const override;
+  void apply_many(const Matrix& r, Matrix& z) const override;
 
   const Ic0Factor& factor() const { return factor_; }
   const std::vector<std::size_t>& permutation() const { return perm_; }

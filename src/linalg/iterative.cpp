@@ -1,6 +1,7 @@
 #include "linalg/iterative.hpp"
 
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "linalg/cholesky.hpp"
@@ -44,7 +45,16 @@ Matrix solve_block_gram(const Matrix& t, const Matrix& s) {
 Vector Preconditioner::apply(const Vector& r) const {
   Matrix rm(r.size(), 1);
   rm.set_col(0, r);
-  return apply_many(rm).col(0);
+  Matrix zm(r.size(), 1);
+  apply_many(rm, zm);
+  return zm.col(0);
+}
+
+void FunctionPreconditioner::apply_many(const Matrix& r, Matrix& z) const {
+  SUBSPAR_REQUIRE(z.rows() == r.rows() && z.cols() == r.cols());
+  Matrix y = fn_(r);
+  SUBSPAR_REQUIRE(y.rows() == r.rows() && y.cols() == r.cols());
+  z = std::move(y);
 }
 
 Vector pcg(const LinearOp& a, const Vector& b, const IterOptions& opt, IterStats* stats,
@@ -154,7 +164,18 @@ Matrix pcg_block(const LinearOpMany& a, const Matrix& b, const IterOptions& opt,
   Matrix r = select_cols(b, active);
 
   Matrix xa(n, active.size());
-  Matrix z = precond ? precond->apply_many(r) : r;
+  // z = M^{-1} r lands in one block kept for the whole call (re-shaped
+  // only when columns deflate), and the direction update reuses it.
+  Matrix z(n, active.size());
+  const auto precondition = [&] {
+    if (!precond) {
+      z = r;
+      return;
+    }
+    if (z.cols() != r.cols()) z = Matrix(n, r.cols());
+    precond->apply_many(r, z);
+  };
+  precondition();
   Matrix p = z;
   Matrix s = mm_tn(z, r);  // live x live Gram of the recurrence
   // Stagnation watchdog: if the worst residual has not halved within a
@@ -223,7 +244,7 @@ Matrix pcg_block(const LinearOpMany& a, const Matrix& b, const IterOptions& opt,
       r *= -1.0;
       for (std::size_t i = 0; i < n; ++i)
         for (std::size_t j = 0; j < active.size(); ++j) r(i, j) += b(i, active[j]);
-      z = precond ? precond->apply_many(r) : r;
+      precondition();
       p = z;
       s = mm_tn(z, r);
       stall_ref = worst;
@@ -231,7 +252,7 @@ Matrix pcg_block(const LinearOpMany& a, const Matrix& b, const IterOptions& opt,
       continue;
     }
 
-    z = precond ? precond->apply_many(r) : r;
+    precondition();
     const Matrix s_next = mm_tn(z, r);
     if (deflated) {
       // Fresh directions for the surviving columns (their cross terms with
@@ -240,10 +261,11 @@ Matrix pcg_block(const LinearOpMany& a, const Matrix& b, const IterOptions& opt,
       s = s_next;
       continue;
     }
+    // p <- z + p beta, built in z's block; the old p's block becomes the
+    // next preconditioner output.
     const Matrix beta = solve_block_gram(s, s_next);
-    Matrix p_next = z;
-    mm_add(p_next, p, beta, 1.0);
-    p = std::move(p_next);
+    mm_add(z, p, beta, 1.0);
+    std::swap(p, z);
     s = s_next;
   }
 

@@ -35,19 +35,25 @@ class Preconditioner {
  public:
   virtual ~Preconditioner() = default;
 
-  /// Z = M^{-1} R columnwise for k residual columns at once.
-  virtual Matrix apply_many(const Matrix& r) const = 0;
+  /// Z = M^{-1} R columnwise for k residual columns at once, written into
+  /// the caller's z. z must already be r.rows() x r.cols() (otherwise
+  /// std::invalid_argument) and must not be r itself; every entry is
+  /// overwritten, so its prior contents never matter. An output block the
+  /// caller keeps across calls is what lets pcg_block run without a fresh
+  /// n x k allocation per iteration.
+  virtual void apply_many(const Matrix& r, Matrix& z) const = 0;
 
   /// Single-vector convenience wrapper over apply_many.
   Vector apply(const Vector& r) const;
 };
 
 /// Adapter for ad-hoc preconditioners (tests, out-of-tree operators): wraps
-/// a columnwise callable as a Preconditioner.
+/// a columnwise callable as a Preconditioner. The callable must return an
+/// r-shaped block, which replaces z.
 class FunctionPreconditioner final : public Preconditioner {
  public:
   explicit FunctionPreconditioner(LinearOpMany fn) : fn_(std::move(fn)) {}
-  Matrix apply_many(const Matrix& r) const override { return fn_(r); }
+  void apply_many(const Matrix& r, Matrix& z) const override;
 
  private:
   LinearOpMany fn_;

@@ -29,7 +29,7 @@ constexpr std::size_t kMaxSolveBlock = 16;
 class FastPoissonPreconditioner final : public Preconditioner {
  public:
   explicit FastPoissonPreconditioner(PoissonGrid grid) : fp_(std::move(grid)) {}
-  Matrix apply_many(const Matrix& r) const override { return fp_.solve_many(r); }
+  void apply_many(const Matrix& r, Matrix& z) const override { fp_.solve_many(r, z); }
 
  private:
   FastPoisson3D fp_;
@@ -45,9 +45,9 @@ constexpr std::size_t kMaxDirectDim = 4096;
 class LazyIc0Preconditioner final : public Preconditioner {
  public:
   explicit LazyIc0Preconditioner(const SparseMatrix& a) : a_(&a) {}
-  Matrix apply_many(const Matrix& r) const override {
+  void apply_many(const Matrix& r, Matrix& z) const override {
     if (!inner_) inner_ = std::make_unique<Ic0Preconditioner>(*a_, rcm_ordering(*a_));
-    return inner_->apply_many(r);
+    inner_->apply_many(r, z);
   }
 
  private:

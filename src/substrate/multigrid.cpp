@@ -300,6 +300,11 @@ Matrix GridMultigrid::vcycle_many(const Matrix& b) const {
   return x;
 }
 
+void MultigridPreconditioner::apply_many(const Matrix& r, Matrix& z) const {
+  SUBSPAR_REQUIRE(z.rows() == r.rows() && z.cols() == r.cols());
+  z = mg_->vcycle_many(r);
+}
+
 Vector GridMultigrid::vcycle(const Vector& b) const {
   Matrix bm(b.size(), 1);
   bm.set_col(0, b);

@@ -112,7 +112,7 @@ class GridMultigrid {
 class MultigridPreconditioner final : public Preconditioner {
  public:
   explicit MultigridPreconditioner(const GridMultigrid& mg) : mg_(&mg) {}
-  Matrix apply_many(const Matrix& r) const override { return mg_->vcycle_many(r); }
+  void apply_many(const Matrix& r, Matrix& z) const override;
 
  private:
   const GridMultigrid* mg_;

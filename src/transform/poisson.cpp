@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "transform/dct.hpp"
 #include "transform/fft.hpp"
@@ -26,11 +27,25 @@ std::vector<double> neumann_eigenvalues(std::size_t n) {
 // Per-column scratch: the grid as (nz*ny) x nx x-lines and as ny x (nz*nx)
 // y-planes, each twice (GEMM input and output).
 struct FastPoisson3D::Workspace {
+  Workspace() = default;
   explicit Workspace(const PoissonGrid& g)
       : lines(g.nz * g.ny, g.nx), lines_hat(g.nz * g.ny, g.nx), planes(g.ny, g.nz * g.nx),
         planes_hat(g.ny, g.nz * g.nx) {}
+  bool fits(const PoissonGrid& g) const {
+    return lines.rows() == g.nz * g.ny && lines.cols() == g.nx && planes.rows() == g.ny;
+  }
   Matrix lines, lines_hat, planes, planes_hat;
 };
+
+// One workspace per thread, like the GEMM pack buffers: a pool worker keeps
+// its pages across solve_many calls (solve_column overwrites or re-zeroes
+// every matrix before reading it), and only a grid of another shape
+// re-allocates.
+FastPoisson3D::Workspace& FastPoisson3D::workspace() const {
+  thread_local Workspace ws;
+  if (!ws.fits(grid_)) ws = Workspace(grid_);
+  return ws;
+}
 
 FastPoisson3D::FastPoisson3D(PoissonGrid grid) : grid_(std::move(grid)) {
   const PoissonGrid& g = grid_;
@@ -143,24 +158,33 @@ void FastPoisson3D::solve_column(const double* b, double* x, Workspace& ws) cons
 Vector FastPoisson3D::solve(const Vector& b) const {
   SUBSPAR_REQUIRE(b.size() == grid_.size());
   Vector x(b.size());
-  Workspace ws(grid_);
-  solve_column(b.data(), x.data(), ws);
+  solve_column(b.data(), x.data(), workspace());
   return x;
 }
 
-Matrix FastPoisson3D::solve_many(const Matrix& b) const {
-  SUBSPAR_REQUIRE(b.rows() == grid_.size());
-  const std::size_t k = b.cols();
+void FastPoisson3D::solve_many(const Matrix& b, Matrix& x) const {
+  const std::size_t n = grid_.size(), k = b.cols();
+  SUBSPAR_REQUIRE(b.rows() == n && x.rows() == n && x.cols() == k);
+  if (k == 0) return;
   // One blocked transpose makes every column contiguous; each task then
-  // solves a fixed stride of columns on one workspace.
-  const Matrix bt = b.transposed();
-  Matrix xt(k, b.rows());
+  // solves a fixed stride of columns on its thread's workspace, and one
+  // more transpose writes the caller's block. The transposed blocks are
+  // the calling thread's scratch, captured as plain pointers: a lambda
+  // body naming them would re-resolve the thread_local on the pool worker.
+  thread_local std::vector<double> bt_scratch, xt_scratch;
+  if (bt_scratch.size() < n * k) {
+    bt_scratch.resize(n * k);
+    xt_scratch.resize(n * k);
+  }
+  double* const bt = bt_scratch.data();
+  double* const xt = xt_scratch.data();
+  transpose_into(b.row_ptr(0), n, k, bt);
   const std::size_t tasks = std::min(k, thread_count());
-  parallel_for(tasks, [&](std::size_t t) {
-    Workspace ws(grid_);
-    for (std::size_t j = t; j < k; j += tasks) solve_column(bt.row_ptr(j), xt.row_ptr(j), ws);
+  parallel_for(tasks, [&, bt, xt](std::size_t t) {
+    Workspace& ws = workspace();
+    for (std::size_t j = t; j < k; j += tasks) solve_column(bt + j * n, xt + j * n, ws);
   });
-  return xt.transposed();
+  transpose_into(xt, k, n, x.row_ptr(0));
 }
 
 Vector FastPoisson3D::apply(const Vector& x) const {

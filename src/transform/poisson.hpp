@@ -56,10 +56,14 @@ class FastPoisson3D {
   /// anchor so M stays usable as an SPD preconditioner.
   Vector solve(const Vector& b) const;
 
-  /// X = M^{-1} B for k right-hand-side columns, fanned out over the
-  /// util/parallel pool. Each column runs solve()'s routine, so columns are
-  /// bit-identical to single solves for any SUBSPAR_THREADS.
-  Matrix solve_many(const Matrix& b) const;
+  /// X = M^{-1} B for k right-hand-side columns, written into the caller's
+  /// x (already size() x k; every entry is overwritten; x must not be b),
+  /// fanned out over the util/parallel pool. Each column runs solve()'s
+  /// routine, so columns are bit-identical to single solves for any
+  /// SUBSPAR_THREADS. The transposed blocks and per-task workspaces are
+  /// per-thread scratch reused across calls, so a steady stream of solves
+  /// allocates nothing.
+  void solve_many(const Matrix& b, Matrix& x) const;
 
   /// y = M x (real-space stencil application) for validation.
   Vector apply(const Vector& x) const;
@@ -68,6 +72,8 @@ class FastPoisson3D {
 
  private:
   struct Workspace;
+  /// The executing thread's workspace, re-shaped for this grid if needed.
+  Workspace& workspace() const;
   /// x = M^{-1} b for one contiguous grid vector, on caller-owned scratch.
   void solve_column(const double* b, double* x, Workspace& ws) const;
 

@@ -183,6 +183,26 @@ TEST(ExtractorPipeline, SharedTreeServesRepeatedRequests) {
   EXPECT_EQ((borrowed.model.gw().to_dense() - wavelet.model.gw().to_dense()).max_abs(), 0.0);
 }
 
+TEST(ExtractorPipeline, RoundingLevelGramBlockDoesNotStallRowBasis) {
+  // sigma_top = 1.3143575396148699 on the 8 x 8 layout leaves one row-basis
+  // right-hand-side block at rounding level, so its block-CG Gram blocks
+  // are ~1e-29. eig_sym must still diagonalize them (its convergence test
+  // is relative to ||A||); otherwise the Gram pseudo-inverse degrades to
+  // the diagonal's inverse, block CG diverges, and the extraction runs the
+  // fallback chain for thousands of iterations.
+  const Layout layout = regular_grid_layout(8, 2.0);
+  const auto solver =
+      make_solver(SolverKind::kSurface, layout, paper_stack(40.0, 0.5, 1.3143575396148699));
+  const ExtractionResult r = Extractor(*solver, layout).extract(
+      {.method = SparsifyMethod::kLowRank, .threshold_sparsity_multiple = 6.0});
+  EXPECT_EQ(r.report.solves, 152);
+  for (const PhaseTiming& p : r.report.phases) {
+    EXPECT_TRUE(p.converged) << p.phase;
+    EXPECT_EQ(p.retries, 0) << p.phase;
+    EXPECT_EQ(p.fallback_columns, 0) << p.phase;
+  }
+}
+
 // ---- ModelCache ------------------------------------------------------------
 
 TEST(ModelCacheTest, HitConsumesZeroSolvesAndMatchesBitExactly) {

@@ -17,6 +17,7 @@
 // distance for well-conditioned entries.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -243,6 +244,78 @@ TEST(BackendParity, GemmFamilyWithin4UlpOfScalarOnFuzzedShapes) {
         EXPECT_LE(ulp_distance(r_mv[i], got_mv[i]), 4u) << "matvec " << tag << " row " << i;
     }
   }
+}
+
+// The tall-skinny GEMM path (TN output at most 16 x 16, NN right operand
+// at most 16 x 16, above dense_kernels.cpp's packing threshold) against the
+// packed path it replaces, under every backend. Padding the narrow operand
+// to 17 columns forces the packed path, and an output's chain does not
+// depend on the other columns, so the first n columns must agree bit for
+// bit. Below the threshold both shapes take the naive loops, whose
+// per-output chain is column-independent too. alpha = 0.3, not a power of
+// two, would show alpha applied anywhere but the final C += alpha * acc.
+constexpr std::size_t kSmallFlops = 32 * 1024;  // dense_kernels.cpp SMALL_FLOPS
+
+Matrix pad_to_17(const Matrix& m, Rng& rng) {
+  Matrix p = random_matrix(m.rows(), 17, rng);
+  for (std::size_t i = 0; i < m.rows(); ++i)
+    for (std::size_t j = 0; j < m.cols(); ++j) p(i, j) = m(i, j);
+  return p;
+}
+
+void expect_leading_cols_bitwise(const Matrix& want, const Matrix& padded,
+                                 const std::string& what) {
+  ASSERT_EQ(want.rows(), padded.rows()) << what;
+  for (std::size_t i = 0; i < want.rows(); ++i)
+    for (std::size_t j = 0; j < want.cols(); ++j)
+      ASSERT_EQ(want(i, j), padded(i, j)) << what << " at (" << i << ", " << j << ")";
+}
+
+TEST(BackendParity, TallSkinnyGemmBitIdenticalToPackedPath) {
+  BackendGuard guard;
+  Rng rng(9090);
+  std::size_t tall_products = 0;
+  for (std::size_t w1 = 1; w1 <= 16; ++w1) {
+    // Every width on one side, a random one on the other (16 x 16 at the
+    // end: the FD block), and tall sizes on both sides of the threshold:
+    // both shapes naive, just above it, a random size, and at 16 x 16 the
+    // FD block height.
+    const std::size_t w2 = w1 == 16 ? 16 : 1 + rng.below(16);
+    const std::size_t below = std::max<std::size_t>(1, kSmallFlops / (w1 * 17));
+    const std::size_t above = kSmallFlops / (w1 * w2) + 1;
+    const std::size_t top = w1 == 16 ? 20480 : 1 + rng.below(8192);
+    for (const std::size_t t : {below, above, top}) {
+      if (t > 20480) continue;
+      if (w1 * w2 * t <= kSmallFlops && w1 * 17 * t > kSmallFlops) continue;  // naive vs packed
+      if (w1 * w2 * t > kSmallFlops) ++tall_products;
+      const Matrix a_tn = random_matrix(t, w1, rng);   // TN: k x m
+      const Matrix b_tn = random_matrix(t, w2, rng);   // TN: k x n
+      const Matrix a_nn = random_matrix(t, w1, rng);   // NN: m x kk
+      const Matrix b_nn = random_matrix(w1, w2, rng);  // NN: kk x n
+      const Matrix c_tn = random_matrix(w1, w2, rng);
+      const Matrix c_nn = random_matrix(t, w2, rng);
+      const Matrix b_tn17 = pad_to_17(b_tn, rng), b_nn17 = pad_to_17(b_nn, rng);
+      const Matrix c_tn17 = pad_to_17(c_tn, rng), c_nn17 = pad_to_17(c_nn, rng);
+      for (BackendKind kind : supported_backends()) {
+        set_backend(kind);
+        const std::string tag = std::string(backend_name(kind)) + " " + std::to_string(w1) +
+                                "x" + std::to_string(w2) + " depth " + std::to_string(t);
+        expect_leading_cols_bitwise(matmul_tn(a_tn, b_tn), matmul_tn(a_tn, b_tn17), "tn " + tag);
+        expect_leading_cols_bitwise(matmul(a_nn, b_nn), matmul(a_nn, b_nn17), "nn " + tag);
+        for (const double alpha : {1.0, -1.0, 0.5, 0.3}) {
+          Matrix tn = c_tn, tn17 = c_tn17, nn = c_nn, nn17 = c_nn17;
+          matmul_tn_add(tn, a_tn, b_tn, alpha);
+          matmul_tn_add(tn17, a_tn, b_tn17, alpha);
+          matmul_add(nn, a_nn, b_nn, alpha);
+          matmul_add(nn17, a_nn, b_nn17, alpha);
+          const std::string at = " alpha " + std::to_string(alpha) + " " + tag;
+          expect_leading_cols_bitwise(tn, tn17, "tn_add" + at);
+          expect_leading_cols_bitwise(nn, nn17, "nn_add" + at);
+        }
+      }
+    }
+  }
+  EXPECT_GE(tall_products, 20u);  // the comparison did reach the tall path
 }
 
 TEST(BackendParity, MixedGemmAgreesAcrossBackendsAndTracksFp64) {

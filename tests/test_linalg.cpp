@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <stdexcept>
 
 #include "linalg/cholesky.hpp"
 #include "linalg/eig_sym.hpp"
@@ -186,6 +188,42 @@ TEST(DenseKernels, TiledProductsBitIdenticalAcrossThreadCounts) {
   set_thread_count(1);
   EXPECT_EQ(max_abs_diff(c1, c4), 0.0);
   EXPECT_EQ(max_abs_diff(g1, g4), 0.0);
+}
+
+TEST(DenseKernels, TallSkinnyPathBitIdenticalAcrossThreadCounts) {
+  // The block-PCG shapes at the FD block size: the NN update runs over
+  // fixed row chunks in parallel, the TN Gram product as one task, and
+  // both must give the same bits at 1 and 4 threads, equal to the packed
+  // path (forced by padding the narrow operand to 17 columns).
+  Rng rng(58);
+  const Matrix p = random_matrix(20480, 16, rng);
+  const Matrix q = random_matrix(20480, 16, rng);
+  const Matrix beta17 = random_matrix(16, 17, rng);
+  const Matrix beta = beta17.block(0, 0, 16, 16);
+  Matrix z1 = random_matrix(20480, 16, rng);
+  Matrix z4 = z1;
+  Matrix z17(20480, 17);
+  for (std::size_t i = 0; i < z1.rows(); ++i)
+    for (std::size_t j = 0; j < 16; ++j) z17(i, j) = z1(i, j);
+  set_thread_count(1);
+  matmul_add(z1, p, beta, 0.3);
+  const Matrix g1 = matmul_tn(p, q);
+  set_thread_count(4);
+  matmul_add(z4, p, beta, 0.3);
+  matmul_add(z17, p, beta17, 0.3);
+  const Matrix g4 = matmul_tn(p, q);
+  set_thread_count(1);
+  const Matrix g17 = matmul_tn(p, Matrix::hcat(q, random_matrix(20480, 1, rng)));
+  for (std::size_t i = 0; i < z1.rows(); ++i)
+    for (std::size_t j = 0; j < 16; ++j) {
+      ASSERT_EQ(z1(i, j), z4(i, j)) << i << "," << j;
+      ASSERT_EQ(z1(i, j), z17(i, j)) << i << "," << j;
+    }
+  for (std::size_t i = 0; i < 16; ++i)
+    for (std::size_t j = 0; j < 16; ++j) {
+      ASSERT_EQ(g1(i, j), g4(i, j)) << i << "," << j;
+      ASSERT_EQ(g1(i, j), g17(i, j)) << i << "," << j;
+    }
 }
 
 // ---------------------------------------------------------------- cholesky
@@ -375,6 +413,20 @@ TEST(EigSym, DiagonalizesAndIsOrthogonal) {
   for (std::size_t k = 0; k + 1 < 9; ++k) EXPECT_LE(e.values[k], e.values[k + 1]);
 }
 
+TEST(EigSym, TinyScaleMatrixStillDiagonalized) {
+  // The convergence test is relative to ||A||: a non-diagonal SPD matrix
+  // scaled to 1e-29 (a block-PCG Gram block at rounding level) has the
+  // unscaled eigenvalues times 1e-29, not its own diagonal.
+  Rng rng(17);
+  const Matrix a = random_spd(6, rng);
+  const EigSym ref = eig_sym(a);
+  const EigSym tiny = eig_sym(1e-29 * a);
+  for (std::size_t k = 0; k < 6; ++k)
+    EXPECT_NEAR(tiny.values[k], 1e-29 * ref.values[k], 1e-12 * 1e-29 * std::abs(ref.values[k]))
+        << k;
+  EXPECT_LT(max_abs_diff(matmul_tn(tiny.vectors, tiny.vectors), Matrix::identity(6)), 1e-10);
+}
+
 // ---------------------------------------------------------------- LU
 
 TEST(LU, SolvesGeneralSystem) {
@@ -489,6 +541,28 @@ TEST(Preconditioner, SingleVectorApplyWrapsApplyMany) {
   const Vector v = random_matrix(12, 1, rng).col(0);
   const Vector z = pre.apply(v);
   EXPECT_LT(norm2(z - matvec(m, v)), 1e-14 * norm2(z));
+
+  // The output contract: every entry of the caller's NaN-prefilled block is
+  // overwritten, each column equals the single-vector apply bit for bit,
+  // and 1 and 4 threads agree; a wrongly shaped output is rejected.
+  const Matrix r = random_matrix(12, 5, rng);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Matrix z1(12, 5, nan), z4(12, 5, nan);
+  pre.apply_many(r, z1);
+  set_thread_count(4);
+  pre.apply_many(r, z4);
+  set_thread_count(1);
+  for (std::size_t j = 0; j < r.cols(); ++j) {
+    const Vector zj = pre.apply(r.col(j));
+    for (std::size_t i = 0; i < r.rows(); ++i) {
+      ASSERT_EQ(z1(i, j), zj[i]) << i << "," << j;
+      ASSERT_EQ(z4(i, j), zj[i]) << i << "," << j;
+    }
+  }
+  Matrix wrong(12, 4);
+  EXPECT_THROW(pre.apply_many(r, wrong), std::invalid_argument);
+  const FunctionPreconditioner bad([](const Matrix& rr) { return Matrix(rr.rows(), 1); });
+  EXPECT_THROW(bad.apply_many(r, z1), std::invalid_argument);
 }
 
 TEST(Gmres, SolvesNonsymmetricSystem) {

@@ -6,6 +6,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 
 #include "geometry/layout_gen.hpp"
@@ -608,13 +609,34 @@ TEST(Multigrid, RedBlackVcycleIsSymmetricAndContracts) {
 }
 
 TEST(Multigrid, MultigridPreconditionerWrapsVcycleMany) {
-  const GridMultigrid mg(small_mg_spec());
+  // The Preconditioner output contract: every entry of the caller's
+  // NaN-prefilled block is overwritten with vcycle_many's, each column
+  // equals the single-vector apply, and 1 and 4 threads agree bit for bit.
+  MultigridOptions opt;
+  opt.smoother = MultigridSmoother::kRedBlack;  // the parallel smoother
+  const GridMultigrid mg(small_mg_spec(), opt);
   const MultigridPreconditioner pre(mg);
   Rng rng(28);
   Matrix r(mg.fine_matrix().rows(), 3);
   for (std::size_t i = 0; i < r.rows(); ++i)
     for (std::size_t j = 0; j < r.cols(); ++j) r(i, j) = rng.normal();
-  EXPECT_EQ((pre.apply_many(r) - mg.vcycle_many(r)).max_abs(), 0.0);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Matrix z(r.rows(), r.cols(), nan), z4(r.rows(), r.cols(), nan);
+  pre.apply_many(r, z);
+  set_thread_count(4);
+  pre.apply_many(r, z4);
+  set_thread_count(1);
+  const Matrix ref = mg.vcycle_many(r);
+  for (std::size_t j = 0; j < r.cols(); ++j) {
+    const Vector zj = pre.apply(r.col(j));
+    for (std::size_t i = 0; i < r.rows(); ++i) {
+      ASSERT_EQ(z(i, j), ref(i, j)) << i << "," << j;
+      ASSERT_EQ(z(i, j), zj[i]) << i << "," << j;
+      ASSERT_EQ(z4(i, j), zj[i]) << i << "," << j;
+    }
+  }
+  Matrix wrong(r.rows() + 1, r.cols());
+  EXPECT_THROW(pre.apply_many(r, wrong), std::invalid_argument);
 }
 
 // ------------------------------------------------- sparse-engine FD knobs

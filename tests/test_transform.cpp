@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <stdexcept>
 #include <string>
 
 #include "linalg/cholesky.hpp"
@@ -251,9 +253,12 @@ TEST_P(PoissonTopG, SolveExactAcrossTopCouplings) {
 
 INSTANTIATE_TEST_SUITE_P(TopCouplings, PoissonTopG, ::testing::Values(0.05, 0.25, 1.0, 4.0));
 
-// The two contracts poisson.hpp states for solve_many: every column equals
-// solve() of that column bit for bit, and the block is bit-identical at 1
-// and 4 threads.
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+// The contracts poisson.hpp states for solve_many: it overwrites every
+// entry of the caller's block (prefilled with NaN here), every column
+// equals solve() of that column bit for bit, and the block is
+// bit-identical at 1 and 4 threads.
 PoissonGrid wide_grid() {  // nx != ny
   PoissonGrid g = small_grid(0.6, 0.3);
   g.nx = 16;
@@ -309,13 +314,19 @@ TEST_P(PoissonContracts, SolveManyColumnsEqualSolveBitwise) {
   Matrix b(n, k);
   for (std::size_t i = 0; i < n; ++i)
     for (std::size_t j = 0; j < k; ++j) b(i, j) = rng.normal();
-  const Matrix x = fp.solve_many(b);
-  ASSERT_EQ(x.rows(), n);
-  ASSERT_EQ(x.cols(), k);
+  Matrix x(n, k, kNaN);
+  fp.solve_many(b, x);
   for (std::size_t j = 0; j < k; ++j) {
     const Vector xj = fp.solve(b.col(j));
     for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(x(i, j), xj[i]) << "col " << j << " row " << i;
   }
+  // A narrower block on the same (now warm) per-thread scratch.
+  Matrix x2(n, 2, kNaN);
+  fp.solve_many(b.block(0, 3, n, 2), x2);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < 2; ++j) ASSERT_EQ(x2(i, j), x(i, 3 + j)) << i << "," << j;
+  Matrix wrong(n, k + 1);
+  EXPECT_THROW(fp.solve_many(b, wrong), std::invalid_argument);
   // And solve() inverts the stencil (the floating grid's anchored
   // constant mode aside).
   if (fp.grid().top_g > 0.0 || fp.grid().bottom_g > 0.0) {
@@ -331,11 +342,12 @@ TEST_P(PoissonContracts, SolveManyBitIdenticalAcrossThreadCounts) {
   Matrix b(n, k);
   for (std::size_t i = 0; i < n; ++i)
     for (std::size_t j = 0; j < k; ++j) b(i, j) = rng.normal();
+  Matrix one(n, k, kNaN), four(n, k, kNaN);
   set_thread_count(1);
-  const Matrix one = fp.solve_many(b);
+  fp.solve_many(b, one);
   const Vector single_one = fp.solve(b.col(3));
   set_thread_count(4);
-  const Matrix four = fp.solve_many(b);
+  fp.solve_many(b, four);
   const Vector single_four = fp.solve(b.col(3));
   set_thread_count(1);
   for (std::size_t i = 0; i < n; ++i) {
