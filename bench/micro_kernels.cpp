@@ -217,6 +217,39 @@ void BM_FastPoissonSolve(benchmark::State& state) {
 }
 BENCHMARK(BM_FastPoissonSolve);
 
+// One block of `range` right-hand sides through FastPoisson3D::solve_many on
+// the 32 x 32 x 20 grid of the wavelet-fd-256 workload (the FD solve's
+// preconditioner step). Narrow widths are what block PCG passes once
+// converged columns deflate; compare the per-column rate across widths.
+void BM_FastPoissonSolveMany(benchmark::State& state) {
+  PoissonGrid g;
+  g.nx = g.ny = 32;
+  g.nz = 20;
+  // sigma h of SubstrateStack({{2, 1}, {36, 100}, {2, 0.1}}) at h = 2,
+  // bottom plane first, with series vertical couplings.
+  g.lateral_g.assign(g.nz, 200.0);
+  g.lateral_g.front() = 0.2;
+  g.lateral_g.back() = 2.0;
+  g.vertical_g.resize(g.nz - 1);
+  for (std::size_t z = 0; z + 1 < g.nz; ++z)
+    g.vertical_g[z] = 2.0 * g.lateral_g[z] * g.lateral_g[z + 1] /
+                      (g.lateral_g[z] + g.lateral_g[z + 1]);
+  g.top_g = 1.0;
+  g.bottom_g = 0.4;
+  const FastPoisson3D fp(g);
+  const auto k = static_cast<std::size_t>(state.range(0));
+  Rng rng(4);
+  Matrix b(g.size(), k), x(g.size(), k);
+  for (std::size_t i = 0; i < b.rows(); ++i)
+    for (std::size_t j = 0; j < k; ++j) b(i, j) = rng.normal();
+  for (auto _ : state) {
+    fp.solve_many(b, x);
+    benchmark::DoNotOptimize(x(0, 0));
+  }
+  state.SetItemsProcessed(static_cast<long>(state.iterations()) * static_cast<long>(k));
+}
+BENCHMARK(BM_FastPoissonSolveMany)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
+
 struct SolveFixtureState {
   Layout layout = regular_grid_layout(16);
   std::unique_ptr<SubstrateSolver> solver = make_solver(SolverKind::kSurface, layout, bench_stack());

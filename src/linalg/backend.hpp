@@ -1,7 +1,8 @@
 // Runtime-dispatched SIMD kernel backend (ROADMAP item 4).
 //
-// The hot kernels — the packed and tall-skinny GEMM kernels, the multi-RHS CSR
-// SpMM row kernels, and the DCT twiddle/dense loops — are compiled several
+// The hot kernels — the packed, tall-skinny and resident-panel GEMM kernels,
+// the multi-RHS CSR SpMM row kernels, and the DCT twiddle/dense loops — are
+// compiled several
 // times into per-ISA translation units (scalar baseline, AVX2+FMA, AVX-512,
 // NEON) and selected ONCE per process through a table of function pointers.
 // One binary therefore serves every ISA: the default build carries all
@@ -75,6 +76,16 @@ struct KernelOps {
   /// columns, and acc's columns at and past n are unspecified.
   void (*gemm_nn_tall_f64)(const double* a, std::size_t kk, std::size_t rows,
                            const double* b16, std::size_t n, double* acc);
+  /// Resident-matrix panel product (the fast-Poisson lateral DCTs):
+  /// out(i, j) = sum_l c[l * m + i] * b[l * ldb + j] for the m x w output
+  /// (row stride ldo), i.e. out = C B with the small m x kk matrix C given
+  /// column-major and the kk x w panel B read in place. Each output is the
+  /// same ascending-l multiply-add chain from zero as gemm_f64's
+  /// accumulator, contracted the same way, so the panel equals the packed
+  /// product bit for bit whatever its shape. The whole panel is one call:
+  /// the tile loop and the row and column tails run inside the kernel.
+  void (*panel_f64)(const double* c, std::size_t m, std::size_t kk, const double* b,
+                    std::size_t ldb, std::size_t w, double* out, std::size_t ldo);
 
   /// One CSR output row of Y = A X: yrow[j] = sum_e vals[e] * x(cols[e], j)
   /// for all k right-hand-side columns (x row-major with leading dim ldx).

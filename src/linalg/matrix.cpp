@@ -12,25 +12,21 @@ Matrix Matrix::identity(std::size_t n) {
 }
 
 Matrix Matrix::transposed() const {
-  Matrix t(cols_, rows_);
-  transpose_into(data_.data(), rows_, cols_, t.data_.data());
-  return t;
-}
-
-void transpose_into(const double* a, std::size_t rows, std::size_t cols, double* t) {
   // Cache-blocked: both the read and the write stream stay inside one
   // 32 x 32 block (8 KB each), instead of striding the full matrix. Inside
   // a block each output row is written contiguously; the strided reads hit
   // the block's cached source rows.
   constexpr std::size_t B = 32;
-  for (std::size_t i0 = 0; i0 < rows; i0 += B) {
-    const std::size_t i1 = std::min(i0 + B, rows);
-    for (std::size_t j0 = 0; j0 < cols; j0 += B) {
-      const std::size_t j1 = std::min(j0 + B, cols);
+  Matrix t(cols_, rows_);
+  for (std::size_t i0 = 0; i0 < rows_; i0 += B) {
+    const std::size_t i1 = std::min(i0 + B, rows_);
+    for (std::size_t j0 = 0; j0 < cols_; j0 += B) {
+      const std::size_t j1 = std::min(j0 + B, cols_);
       for (std::size_t j = j0; j < j1; ++j)
-        for (std::size_t i = i0; i < i1; ++i) t[j * rows + i] = a[i * cols + j];
+        for (std::size_t i = i0; i < i1; ++i) t(j, i) = (*this)(i, j);
     }
   }
+  return t;
 }
 
 Matrix& Matrix::operator+=(const Matrix& o) {

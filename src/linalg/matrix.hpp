@@ -57,11 +57,6 @@ class Matrix {
   std::vector<double> data_;
 };
 
-/// t = a' for the row-major rows x cols block at a, written into the
-/// cols x rows block at t (cache-blocked like Matrix::transposed; the two
-/// blocks must not overlap). For callers that keep their own scratch.
-void transpose_into(const double* a, std::size_t rows, std::size_t cols, double* t);
-
 /// y = A x
 Vector matvec(const Matrix& a, const Vector& x);
 /// y = A' x

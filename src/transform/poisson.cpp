@@ -4,6 +4,7 @@
 #include <cmath>
 #include <vector>
 
+#include "linalg/backend.hpp"
 #include "transform/dct.hpp"
 #include "transform/fft.hpp"
 #include "util/check.hpp"
@@ -22,30 +23,28 @@ std::vector<double> neumann_eigenvalues(std::size_t n) {
   return mu;
 }
 
-}  // namespace
-
-// Per-column scratch: the grid as (nz*ny) x nx x-lines and as ny x (nz*nx)
-// y-planes, each twice (GEMM input and output).
-struct FastPoisson3D::Workspace {
-  Workspace() = default;
-  explicit Workspace(const PoissonGrid& g)
-      : lines(g.nz * g.ny, g.nx), lines_hat(g.nz * g.ny, g.nx), planes(g.ny, g.nz * g.nx),
-        planes_hat(g.ny, g.nz * g.nx) {}
-  bool fits(const PoissonGrid& g) const {
-    return lines.rows() == g.nz * g.ny && lines.cols() == g.nx && planes.rows() == g.ny;
-  }
-  Matrix lines, lines_hat, planes, planes_hat;
-};
-
-// One workspace per thread, like the GEMM pack buffers: a pool worker keeps
-// its pages across solve_many calls (solve_column overwrites or re-zeroes
-// every matrix before reading it), and only a grid of another shape
-// re-allocates.
-FastPoisson3D::Workspace& FastPoisson3D::workspace() const {
-  thread_local Workspace ws;
-  if (!ws.fits(grid_)) ws = Workspace(grid_);
-  return ws;
+// f(e, kx) over one spectral row of nx * k entries, entry e having mode kx.
+// One column is one contiguous loop along kx, and two or three columns
+// unroll each mode's entries: a loop over so few would cost more than its
+// body. Wider rows loop over each mode's k entries, which GCC vectorizes.
+// (Unrolled at 4 or 8 columns, the modes were vectorized instead, with
+// interleaving shuffles that doubled the sweep's time.)
+template <std::size_t K, class F>
+void for_modes(std::size_t nx, F& f) {
+  for (std::size_t kx = 0; kx < nx; ++kx)
+    for (std::size_t j = 0; j < K; ++j) f(kx * K + j, kx);
 }
+
+template <class F>
+void for_row(std::size_t nx, std::size_t k, F&& f) {
+  if (k == 1) return for_modes<1>(nx, f);
+  if (k == 2) return for_modes<2>(nx, f);
+  if (k == 3) return for_modes<3>(nx, f);
+  for (std::size_t kx = 0; kx < nx; ++kx)
+    for (std::size_t j = 0; j < k; ++j) f(kx * k + j, kx);
+}
+
+}  // namespace
 
 FastPoisson3D::FastPoisson3D(PoissonGrid grid) : grid_(std::move(grid)) {
   const PoissonGrid& g = grid_;
@@ -53,8 +52,15 @@ FastPoisson3D::FastPoisson3D(PoissonGrid grid) : grid_(std::move(grid)) {
   SUBSPAR_REQUIRE(is_power_of_two(g.nx) && is_power_of_two(g.ny));
   SUBSPAR_REQUIRE(g.lateral_g.size() == g.nz);
   SUBSPAR_REQUIRE(g.vertical_g.size() + 1 == g.nz || g.nz == 1);
-  cx_ = dct2_matrix(g.nx);
-  cy_ = dct2_matrix(g.ny);
+  // C column-major is C' row-major.
+  const auto rows_of = [](const Matrix& m) {
+    return Lines(m.row_ptr(0), m.row_ptr(0) + m.rows() * m.cols());
+  };
+  const Matrix dx = dct2_matrix(g.nx), dy = dct2_matrix(g.ny);
+  cx_ = rows_of(dx.transposed());
+  cxt_ = rows_of(dx);
+  cy_ = rows_of(dy.transposed());
+  cyt_ = rows_of(dy);
   const std::vector<double> mu_x = neumann_eigenvalues(g.nx);
   const std::vector<double> mu_y = neumann_eigenvalues(g.ny);
 
@@ -93,98 +99,80 @@ FastPoisson3D::FastPoisson3D(PoissonGrid grid) : grid_(std::move(grid)) {
   }
 }
 
-void FastPoisson3D::solve_column(const double* b, double* x, Workspace& ws) const {
+void FastPoisson3D::solve_block(const double* b, double* x, std::size_t k) const {
   const PoissonGrid& g = grid_;
   const std::size_t nx = g.nx, ny = g.ny, nz = g.nz;
-  Matrix& lines = ws.lines;
-  Matrix& lines_hat = ws.lines_hat;
-  Matrix& planes = ws.planes;
-  Matrix& planes_hat = ws.planes_hat;
-  // The grid index x + nx (y + ny z) makes b the row-major (nz*ny) x nx
-  // matrix of its x-lines.
-  std::copy(b, b + g.size(), lines.row_ptr(0));
-  const auto zero = [](Matrix& m) {
-    std::fill(m.row_ptr(0), m.row_ptr(0) + m.rows() * m.cols(), 0.0);
-  };
-  // [z][y][x] <-> [y][z][x] plane reorder between the two lateral
-  // transforms: y-lines become the columns of an ny x (nz*nx) matrix.
-  const auto to_planes = [&](const Matrix& src, Matrix& dst) {
-    for (std::size_t z = 0; z < nz; ++z)
-      for (std::size_t y = 0; y < ny; ++y)
-        std::copy(src.row_ptr(z * ny + y), src.row_ptr(z * ny + y) + nx, dst.row_ptr(y) + z * nx);
-  };
-  const auto to_lines = [&](const Matrix& src, Matrix& dst) {
-    for (std::size_t z = 0; z < nz; ++z)
-      for (std::size_t y = 0; y < ny; ++y)
-        std::copy(src.row_ptr(y) + z * nx, src.row_ptr(y) + (z + 1) * nx, dst.row_ptr(z * ny + y));
-  };
+  const std::size_t line = nx * k;  // one (z, y) line group: nx x k
+  // The calling thread's scratch, captured as plain pointers: a lambda body
+  // naming them would re-resolve the thread_local on the pool worker. Every
+  // entry a step reads was written by the step before it.
+  thread_local Lines scratch_a, scratch_b;
+  if (scratch_a.size() < nz * ny * line) {
+    scratch_a.resize(nz * ny * line);
+    scratch_b.resize(nz * ny * line);
+  }
+  double* const sa = scratch_a.data();
+  double* const sb = scratch_b.data();
+  const KernelOps& ops = kernel_ops();
 
-  zero(lines_hat);
-  matmul_nt_add(lines_hat, lines, cx_);  // x-lines -> kx
-  to_planes(lines_hat, planes);
-  zero(planes_hat);
-  matmul_add(planes_hat, cy_, planes);  // y -> ky: rows [ky][z][kx]
+  // One z-plane per task: the x-DCT of its ny line groups (c = C_x
+  // column-major), then the y-DCT of the whole plane (c = C_y) while it is
+  // still in this core's cache; the inverse runs the pair in reverse.
+  const std::size_t plane = ny * line;
+  const auto x_dct = [&](const double* c, const double* src, double* dst) {
+    for (std::size_t q = 0; q < ny; ++q)
+      ops.panel_f64(c, nx, nx, src + q * line, k, k, dst + q * line, k);
+  };
+  const auto y_dct = [&](const double* c, const double* src, double* dst) {
+    ops.panel_f64(c, ny, ny, src, line, line, dst, line);
+  };
+  parallel_for(nz, [&](std::size_t z) {
+    x_dct(cx_.data(), b + z * plane, sa + z * plane);    // x -> kx
+    y_dct(cy_.data(), sa + z * plane, sb + z * plane);  // y -> ky: rows [ky] of [kx][column]
+  });
 
-  // Tridiagonal z-solves of every (kx, ky) mode: forward elimination and
-  // back substitution, each a sweep over contiguous kx rows.
-  for (std::size_t ky = 0; ky < ny; ++ky) {
-    double* spec = planes_hat.row_ptr(ky);
+  // Tridiagonal z-solves of every (kx, ky) mode, one ky per task: forward
+  // elimination and back substitution, each a sweep over whole (z, ky) rows.
+  parallel_for(ny, [&](std::size_t ky) {
+    double* const spec = sb + ky * line;  // the (z = 0, ky) row; z stride = plane
     const double* inv = inv_pivot_.data() + ky * nz * nx;
     const double* cp = cprime_.data() + ky * nz * nx;
-    for (std::size_t kx = 0; kx < nx; ++kx) spec[kx] *= inv[kx];
+    for_row(nx, k, [&](std::size_t e, std::size_t kx) { spec[e] *= inv[kx]; });
     for (std::size_t z = 1; z < nz; ++z) {
-      double* cur = spec + z * nx;
-      const double* prev = cur - nx;
+      double* cur = spec + z * plane;
+      const double* prev = cur - plane;
       const double* piv = inv + z * nx;
       const double gz = g.vertical_g[z - 1];
-      for (std::size_t kx = 0; kx < nx; ++kx) cur[kx] = (cur[kx] + gz * prev[kx]) * piv[kx];
+      for_row(nx, k, [&](std::size_t e, std::size_t kx) {
+        cur[e] = (cur[e] + gz * prev[e]) * piv[kx];
+      });
     }
     for (std::size_t z = nz - 1; z-- > 0;) {
-      double* cur = spec + z * nx;
-      const double* next = cur + nx;
+      double* cur = spec + z * plane;
+      const double* next = cur + plane;
       const double* c = cp + z * nx;
-      for (std::size_t kx = 0; kx < nx; ++kx) cur[kx] -= c[kx] * next[kx];
+      for_row(nx, k, [&](std::size_t e, std::size_t kx) { cur[e] -= c[kx] * next[e]; });
     }
-  }
+  });
 
-  zero(planes);
-  matmul_tn_add(planes, cy_, planes_hat);  // ky -> y
-  to_lines(planes, lines_hat);
-  zero(lines);
-  matmul_add(lines, lines_hat, cx_);  // kx -> x-lines
-  std::copy(lines.row_ptr(0), lines.row_ptr(0) + g.size(), x);
+  parallel_for(nz, [&](std::size_t z) {
+    y_dct(cyt_.data(), sb + z * plane, sa + z * plane);  // ky -> y
+    x_dct(cxt_.data(), sa + z * plane, x + z * plane);   // kx -> x, into the caller's block
+  });
 }
 
 Vector FastPoisson3D::solve(const Vector& b) const {
   SUBSPAR_REQUIRE(b.size() == grid_.size());
   Vector x(b.size());
-  solve_column(b.data(), x.data(), workspace());
+  solve_block(b.data(), x.data(), 1);
   return x;
 }
 
 void FastPoisson3D::solve_many(const Matrix& b, Matrix& x) const {
   const std::size_t n = grid_.size(), k = b.cols();
-  SUBSPAR_REQUIRE(b.rows() == n && x.rows() == n && x.cols() == k);
+  SUBSPAR_REQUIRE(b.rows() == n && x.rows() == n && x.cols() == k && &x != &b);
   if (k == 0) return;
-  // One blocked transpose makes every column contiguous; each task then
-  // solves a fixed stride of columns on its thread's workspace, and one
-  // more transpose writes the caller's block. The transposed blocks are
-  // the calling thread's scratch, captured as plain pointers: a lambda
-  // body naming them would re-resolve the thread_local on the pool worker.
-  thread_local std::vector<double> bt_scratch, xt_scratch;
-  if (bt_scratch.size() < n * k) {
-    bt_scratch.resize(n * k);
-    xt_scratch.resize(n * k);
-  }
-  double* const bt = bt_scratch.data();
-  double* const xt = xt_scratch.data();
-  transpose_into(b.row_ptr(0), n, k, bt);
-  const std::size_t tasks = std::min(k, thread_count());
-  parallel_for(tasks, [&, bt, xt](std::size_t t) {
-    Workspace& ws = workspace();
-    for (std::size_t j = t; j < k; j += tasks) solve_column(bt + j * n, xt + j * n, ws);
-  });
-  transpose_into(xt, k, n, x.row_ptr(0));
+  solve_block(b.row_ptr(0), x.row_ptr(0), k);
 }
 
 Vector FastPoisson3D::apply(const Vector& x) const {

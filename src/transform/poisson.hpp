@@ -11,15 +11,22 @@
 // p = 0 pure-Neumann, intermediate values the area-weighted variant of
 // Table 2.1.
 //
-// The lateral transforms are dense orthonormal DCT-II matrices applied
-// through the GEMM layer: a grid vector viewed as the (nz*ny) x nx matrix of
-// its x-lines is one product with C_x', and after a plane reorder to
-// ny x (nz*nx) the y-transform is one product with C_y. The tridiagonal
-// pivots of every (kx, ky) mode are factored once at construction, so each
-// z-solve is two streaming sweeps over contiguous kx rows.
+// The lateral transforms are dense orthonormal DCT-II matrices, applied to
+// the caller's block where it lies. A row-major n x k block of right-hand
+// sides already is the grid, laid out [z][y][x][column]: every (z, y) line
+// group is an nx x k panel and every z-plane an ny x (nx k) panel. The x-DCT
+// multiplies C_x into each line group, the y-DCT multiplies C_y into each
+// plane, both through one backend kernel (KernelOps::panel_f64) that reads
+// the panel in place and keeps the packed GEMM's per-output chain. The
+// tridiagonal pivots of every (kx, ky) mode are factored once at
+// construction, so each z-solve is two streaming sweeps over whole spectral
+// planes. The inverse y-DCT follows, and the inverse x-DCT writes straight
+// into the caller's output. Two per-thread n x k scratch blocks hold the
+// spectral data between the steps; nothing is transposed, copied or zeroed.
 #pragma once
 
 #include <cstddef>
+#include <new>
 #include <vector>
 
 #include "linalg/matrix.hpp"
@@ -45,6 +52,20 @@ struct PoissonGrid {
   }
 };
 
+/// std::allocator on 64-byte (cache-line) boundaries.
+template <class T>
+struct CacheLineAllocator {
+  using value_type = T;
+  CacheLineAllocator() = default;
+  template <class U>
+  CacheLineAllocator(const CacheLineAllocator<U>&) {}
+  T* allocate(std::size_t n) {
+    return static_cast<T*>(::operator new(n * sizeof(T), std::align_val_t{64}));
+  }
+  void deallocate(T* p, std::size_t) { ::operator delete(p, std::align_val_t{64}); }
+  friend bool operator==(const CacheLineAllocator&, const CacheLineAllocator&) { return true; }
+};
+
 class FastPoisson3D {
  public:
   /// nx and ny must be powers of two, like the FD grids this
@@ -53,16 +74,17 @@ class FastPoisson3D {
 
   /// Exact solve of M x = b in O(N (nx + ny)). If the grid is floating (no
   /// top or bottom anchors), the all-constant mode is regularized by a tiny
-  /// anchor so M stays usable as an SPD preconditioner.
+  /// anchor so M stays usable as an SPD preconditioner. A one-column
+  /// solve_many.
   Vector solve(const Vector& b) const;
 
   /// X = M^{-1} B for k right-hand-side columns, written into the caller's
   /// x (already size() x k; every entry is overwritten; x must not be b),
-  /// fanned out over the util/parallel pool. Each column runs solve()'s
-  /// routine, so columns are bit-identical to single solves for any
-  /// SUBSPAR_THREADS. The transposed blocks and per-task workspaces are
-  /// per-thread scratch reused across calls, so a steady stream of solves
-  /// allocates nothing.
+  /// each step fanned out over the util/parallel pool in fixed partitions.
+  /// Every output's arithmetic depends only on its own column, so columns
+  /// are bit-identical to single solves for any k and any SUBSPAR_THREADS.
+  /// The two scratch blocks belong to the calling thread and are reused
+  /// across calls, so a steady stream of solves allocates nothing.
   void solve_many(const Matrix& b, Matrix& x) const;
 
   /// y = M x (real-space stencil application) for validation.
@@ -71,17 +93,20 @@ class FastPoisson3D {
   const PoissonGrid& grid() const { return grid_; }
 
  private:
-  struct Workspace;
-  /// The executing thread's workspace, re-shaped for this grid if needed.
-  Workspace& workspace() const;
-  /// x = M^{-1} b for one contiguous grid vector, on caller-owned scratch.
-  void solve_column(const double* b, double* x, Workspace& ws) const;
+  /// x = M^{-1} b for the row-major size() x k blocks at b and x.
+  void solve_block(const double* b, double* x, std::size_t k) const;
+
+  /// Doubles on cache-line boundaries: the kernel's 8-wide loads of a
+  /// column of C or of a scratch row then never straddle two lines.
+  using Lines = std::vector<double, CacheLineAllocator<double>>;
 
   PoissonGrid grid_;
-  Matrix cx_, cy_;  // dct2_matrix(nx), dct2_matrix(ny)
-  // Thomas factors of every (kx, ky) mode's z-system, laid out like the
-  // spectral planes ([ky][z][kx]): reciprocal pivots and the eliminated
-  // super-diagonal c'.
+  // The lateral transforms in panel_f64's column-major form: C_x and C_x'
+  // (forward and inverse x-DCT), C_y and C_y', with C = dct2_matrix(n).
+  Lines cx_, cxt_, cy_, cyt_;
+  // Thomas factors of every (kx, ky) mode's z-system, laid out [ky][z][kx]
+  // so one ky's sweep reads them in order: reciprocal pivots and the
+  // eliminated super-diagonal c'.
   std::vector<double> inv_pivot_, cprime_;
 };
 

@@ -246,6 +246,8 @@ TEST(BackendParity, GemmFamilyWithin4UlpOfScalarOnFuzzedShapes) {
   }
 }
 
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
 // The tall-skinny GEMM path (TN output at most 16 x 16, NN right operand
 // at most 16 x 16, above dense_kernels.cpp's packing threshold) against the
 // packed path it replaces, under every backend. Padding the narrow operand
@@ -316,6 +318,57 @@ TEST(BackendParity, TallSkinnyGemmBitIdenticalToPackedPath) {
     }
   }
   EXPECT_GE(tall_products, 20u);  // the comparison did reach the tall path
+}
+
+// The resident-panel kernel (the fast-Poisson lateral DCTs) against the
+// packed product under the same backend, on fuzzed shapes that cover both
+// tilings and their tails: full 16-column strips, narrow bands of 32, 16 and
+// 8 rows, and scalar leftover rows. Padding C's rows and B's columns forces
+// the packed path (an output's chain does not depend on the other rows or
+// columns), so every output must agree bit for bit. B and the output are
+// strided (ldb, ldo > w) and prefilled with NaN: the kernel reads only the
+// panel, writes all of it, and leaves the rest of each row alone. Across
+// backends the usual 4-ulp GEMM rule holds.
+TEST(BackendParity, PanelKernelBitIdenticalToPackedPath) {
+  BackendGuard guard;
+  Rng rng(5150);
+  for (int trial = 0; trial < 40; ++trial) {
+    const std::size_t m = 1 + rng.below(40), kk = 1 + rng.below(40), w = 1 + rng.below(40);
+    const std::size_t ldb = w + 1 + rng.below(9), ldo = w + 1 + rng.below(9);
+    const Matrix c = random_matrix(m, kk, rng);
+    const Matrix b = random_matrix(kk, w, rng);
+    const Matrix ct = c.transposed();  // C column-major
+    std::vector<double> bs(kk * ldb, kNaN);
+    for (std::size_t l = 0; l < kk; ++l)
+      for (std::size_t j = 0; j < w; ++j) bs[l * ldb + j] = b(l, j);
+    const std::size_t wp = std::max<std::size_t>(w, 17);
+    const std::size_t mp = std::max(m, kSmallFlops / (wp * kk) + 1);
+    Matrix cp(mp, kk), bp(kk, wp);
+    cp.set_block(0, 0, c);
+    bp.set_block(0, 0, b);
+    const std::string shape = std::to_string(m) + "x" + std::to_string(kk) + "x" +
+                              std::to_string(w);
+    const auto panel = [&](const std::string& tag) {
+      std::vector<double> out(m * ldo, kNaN);
+      kernel_ops().panel_f64(ct.row_ptr(0), m, kk, bs.data(), ldb, w, out.data(), ldo);
+      Matrix got(m, w);
+      for (std::size_t i = 0; i < m; ++i)
+        for (std::size_t j = 0; j < ldo; ++j) {
+          if (j < w) got(i, j) = out[i * ldo + j];
+          else EXPECT_TRUE(std::isnan(out[i * ldo + j])) << tag << " wrote past the panel";
+        }
+      return got;
+    };
+    set_backend(BackendKind::kScalar);
+    const Matrix scalar_out = panel("scalar " + shape);
+    for (BackendKind kind : supported_backends()) {
+      set_backend(kind);
+      const std::string tag = std::string(backend_name(kind)) + " " + shape;
+      const Matrix got = panel(tag);
+      expect_bitwise(matmul(cp, bp).block(0, 0, m, w), got, "panel " + tag);
+      expect_close(scalar_out, got, static_cast<double>(kk), "panel vs scalar " + tag);
+    }
+  }
 }
 
 TEST(BackendParity, MixedGemmAgreesAcrossBackendsAndTracksFp64) {

@@ -3,10 +3,13 @@
 // and the fast Poisson solver against direct dense solves.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "linalg/cholesky.hpp"
 #include "linalg/matrix.hpp"
@@ -255,10 +258,13 @@ INSTANTIATE_TEST_SUITE_P(TopCouplings, PoissonTopG, ::testing::Values(0.05, 0.25
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
-// The contracts poisson.hpp states for solve_many: it overwrites every
-// entry of the caller's block (prefilled with NaN here), every column
-// equals solve() of that column bit for bit, and the block is
-// bit-identical at 1 and 4 threads.
+// The contracts poisson.hpp states for solve_many, at every block width
+// from one column to past two 16-column strips: it overwrites every entry of
+// the caller's block (prefilled with NaN here), every column equals solve()
+// of that column bit for bit, and the block is bit-identical at 1 and 4
+// threads.
+constexpr std::size_t kWidths[] = {1, 2, 3, 5, 8, 16, 17, 33};
+
 PoissonGrid wide_grid() {  // nx != ny
   PoissonGrid g = small_grid(0.6, 0.3);
   g.nx = 16;
@@ -307,26 +313,34 @@ class PoissonContracts : public ::testing::TestWithParam<int> {
   }
 };
 
-TEST_P(PoissonContracts, SolveManyColumnsEqualSolveBitwise) {
-  const FastPoisson3D fp(grid(GetParam()));
-  const std::size_t n = fp.grid().size(), k = 5;
-  Rng rng(80 + static_cast<std::uint64_t>(GetParam()));
+Matrix random_block(std::size_t n, std::size_t k, std::uint64_t seed) {
+  Rng rng(seed);
   Matrix b(n, k);
   for (std::size_t i = 0; i < n; ++i)
     for (std::size_t j = 0; j < k; ++j) b(i, j) = rng.normal();
-  Matrix x(n, k, kNaN);
-  fp.solve_many(b, x);
-  for (std::size_t j = 0; j < k; ++j) {
-    const Vector xj = fp.solve(b.col(j));
-    for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(x(i, j), xj[i]) << "col " << j << " row " << i;
+  return b;
+}
+
+TEST_P(PoissonContracts, SolveManyColumnsEqualSolveBitwise) {
+  const FastPoisson3D fp(grid(GetParam()));
+  const std::size_t n = fp.grid().size();
+  for (const std::size_t k : kWidths) {
+    const Matrix b = random_block(n, k, 80 + 100 * k + static_cast<std::uint64_t>(GetParam()));
+    Matrix x(n, k, kNaN);
+    fp.solve_many(b, x);
+    for (std::size_t j = 0; j < k; ++j) {
+      const Vector xj = fp.solve(b.col(j));
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_FALSE(std::isnan(x(i, j))) << "k " << k << " col " << j << " row " << i;
+        ASSERT_EQ(x(i, j), xj[i]) << "k " << k << " col " << j << " row " << i;
+      }
+    }
   }
-  // A narrower block on the same (now warm) per-thread scratch.
-  Matrix x2(n, 2, kNaN);
-  fp.solve_many(b.block(0, 3, n, 2), x2);
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < 2; ++j) ASSERT_EQ(x2(i, j), x(i, 3 + j)) << i << "," << j;
-  Matrix wrong(n, k + 1);
+  const Matrix b = random_block(n, 5, 80);
+  Matrix wrong(n, 6);
   EXPECT_THROW(fp.solve_many(b, wrong), std::invalid_argument);
+  Matrix aliased = b;
+  EXPECT_THROW(fp.solve_many(aliased, aliased), std::invalid_argument);
   // And solve() inverts the stencil (the floating grid's anchored
   // constant mode aside).
   if (fp.grid().top_g > 0.0 || fp.grid().bottom_g > 0.0) {
@@ -337,22 +351,93 @@ TEST_P(PoissonContracts, SolveManyColumnsEqualSolveBitwise) {
 
 TEST_P(PoissonContracts, SolveManyBitIdenticalAcrossThreadCounts) {
   const FastPoisson3D fp(grid(GetParam()));
-  const std::size_t n = fp.grid().size(), k = 7;
-  Rng rng(90 + static_cast<std::uint64_t>(GetParam()));
-  Matrix b(n, k);
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < k; ++j) b(i, j) = rng.normal();
-  Matrix one(n, k, kNaN), four(n, k, kNaN);
-  set_thread_count(1);
-  fp.solve_many(b, one);
-  const Vector single_one = fp.solve(b.col(3));
-  set_thread_count(4);
-  fp.solve_many(b, four);
-  const Vector single_four = fp.solve(b.col(3));
-  set_thread_count(1);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < k; ++j) ASSERT_EQ(one(i, j), four(i, j)) << i << "," << j;
-    ASSERT_EQ(single_one[i], single_four[i]) << i;
+  const std::size_t n = fp.grid().size();
+  for (const std::size_t k : kWidths) {
+    const Matrix b = random_block(n, k, 90 + 100 * k + static_cast<std::uint64_t>(GetParam()));
+    Matrix one(n, k, kNaN), four(n, k, kNaN);
+    set_thread_count(1);
+    fp.solve_many(b, one);
+    const Vector single_one = fp.solve(b.col(k - 1));
+    set_thread_count(4);
+    fp.solve_many(b, four);
+    const Vector single_four = fp.solve(b.col(k - 1));
+    set_thread_count(1);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < k; ++j)
+        ASSERT_EQ(one(i, j), four(i, j)) << "k " << k << " at " << i << "," << j;
+      ASSERT_EQ(single_one[i], single_four[i]) << "k " << k << " row " << i;
+    }
+  }
+}
+
+// The route the block path replaced, rebuilt from the public GEMM layer:
+// per column, the x-lines times C_x' and the y-planes times C_y as packed
+// products into zeroed outputs, the Thomas sweeps in [ky][z][kx] order, and
+// the two inverse products. On the 32 x 32 x 20 grid every one of those
+// products takes the packed path, so each output is gemm_f64's chain, and
+// the block path's resident-panel kernel must reproduce it bit for bit
+// under whichever backend is active.
+Vector gemm_route_solve(const PoissonGrid& g, const Vector& b) {
+  const std::size_t nx = g.nx, ny = g.ny, nz = g.nz;
+  const Matrix cx = dct2_matrix(nx), cy = dct2_matrix(ny);
+  const auto mu = [](std::size_t len, std::size_t k) {
+    return 2.0 - 2.0 * std::cos(3.14159265358979323846 * static_cast<double>(k) /
+                                static_cast<double>(len));
+  };
+  Matrix lines(nz * ny, nx), lines_hat(nz * ny, nx), planes(ny, nz * nx),
+      planes_hat(ny, nz * nx);
+  std::copy(b.begin(), b.end(), lines.row_ptr(0));
+  matmul_nt_add(lines_hat, lines, cx);
+  for (std::size_t z = 0; z < nz; ++z)
+    for (std::size_t y = 0; y < ny; ++y)
+      for (std::size_t x = 0; x < nx; ++x) planes(y, z * nx + x) = lines_hat(z * ny + y, x);
+  matmul_add(planes_hat, cy, planes);
+  for (std::size_t ky = 0; ky < ny; ++ky)
+    for (std::size_t kx = 0; kx < nx; ++kx) {
+      // Thomas factors exactly as the constructor computes them (this grid
+      // is anchored, so no floating-mode term).
+      std::vector<double> inv(nz), cprime(nz);
+      double cprev = 0.0;
+      for (std::size_t z = 0; z < nz; ++z) {
+        double d = g.lateral_g[z] * (mu(nx, kx) + mu(ny, ky));
+        if (z > 0) d += g.vertical_g[z - 1];
+        if (z + 1 < nz) d += g.vertical_g[z];
+        if (z == nz - 1) d += g.top_g;
+        if (z == 0) d += g.bottom_g;
+        const double m = z == 0 ? d : d + g.vertical_g[z - 1] * cprev;
+        cprev = z + 1 < nz ? -g.vertical_g[z] / m : 0.0;
+        inv[z] = 1.0 / m;
+        cprime[z] = cprev;
+      }
+      double* spec = planes_hat.row_ptr(ky) + kx;
+      spec[0] *= inv[0];
+      for (std::size_t z = 1; z < nz; ++z)
+        spec[z * nx] = (spec[z * nx] + g.vertical_g[z - 1] * spec[(z - 1) * nx]) * inv[z];
+      for (std::size_t z = nz - 1; z-- > 0;) spec[z * nx] -= cprime[z] * spec[(z + 1) * nx];
+    }
+  planes = Matrix(ny, nz * nx);
+  matmul_tn_add(planes, cy, planes_hat);
+  for (std::size_t z = 0; z < nz; ++z)
+    for (std::size_t y = 0; y < ny; ++y)
+      for (std::size_t x = 0; x < nx; ++x) lines_hat(z * ny + y, x) = planes(y, z * nx + x);
+  lines = Matrix(nz * ny, nx);
+  matmul_add(lines, lines_hat, cx);
+  return Vector(std::vector<double>(lines.row_ptr(0), lines.row_ptr(0) + g.size()));
+}
+
+TEST(FastPoisson, BlockPathMatchesGemmReference) {
+  const PoissonGrid g = fd_benchmark_grid();
+  const FastPoisson3D fp(g);
+  const std::size_t n = g.size();
+  for (const std::size_t k : {std::size_t{16}, std::size_t{7}}) {
+    const Matrix b = random_block(n, k, 70 + k);
+    Matrix x(n, k, kNaN);
+    fp.solve_many(b, x);
+    for (std::size_t j = 0; j < k; ++j) {
+      const Vector want = gemm_route_solve(g, b.col(j));
+      for (std::size_t i = 0; i < n; ++i)
+        ASSERT_EQ(x(i, j), want[i]) << "k " << k << " col " << j << " row " << i;
+    }
   }
 }
 
