@@ -105,22 +105,6 @@ void BM_Matmul(benchmark::State& state) {
 }
 BENCHMARK(BM_Matmul)->Arg(64)->Arg(256);
 
-// Mixed-precision GEMM (fp32-packed operands, fp64 accumulators): the
-// Precision::kMixed engine behind iterative refinement. Same item count as
-// BM_Matmul, so items/s compare directly.
-void BM_MatmulMixed(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const Matrix a = random_dense(n, n, 7);
-  const Matrix b = random_dense(n, n, 8);
-  for (auto _ : state) {
-    const Matrix c = matmul_mixed(a, b);
-    benchmark::DoNotOptimize(c(0, 0));
-  }
-  state.SetItemsProcessed(static_cast<long>(state.iterations()) *
-                          static_cast<long>(n * n * n));
-}
-BENCHMARK(BM_MatmulMixed)->Arg(64)->Arg(256);
-
 void BM_GramTn(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const Matrix a = random_dense(4 * n, n, 9);  // tall sample-matrix shape
@@ -348,23 +332,6 @@ void BM_SpMM(benchmark::State& state) {
                           static_cast<long>(fx.a.nnz() * k));
 }
 BENCHMARK(BM_SpMM)->Arg(4)->Arg(16);
-
-// Mixed-precision SpMM: the fp32-value / 32-bit-index CSR mirror halves the
-// bytes per traversed entry on this bandwidth-bound path; accumulation and
-// right-hand sides stay fp64. Items = nnz * k, comparable with BM_SpMM.
-void BM_SpMMMixed(benchmark::State& state) {
-  static SparseFixture fx;
-  static const SparseMirrorF32 mirror(fx.a);
-  const auto k = static_cast<std::size_t>(state.range(0));
-  const Matrix x = random_rhs(fx.a.cols(), k, 13);
-  for (auto _ : state) {
-    const Matrix y = mirror.apply_many(x);
-    benchmark::DoNotOptimize(y(0, 0));
-  }
-  state.SetItemsProcessed(static_cast<long>(state.iterations()) *
-                          static_cast<long>(fx.a.nnz() * k));
-}
-BENCHMARK(BM_SpMMMixed)->Arg(4)->Arg(16);
 
 void BM_Ic0SolvePerColumn(benchmark::State& state) {
   static SparseFixture fx;

@@ -45,13 +45,6 @@ enum class SolverKind {
 struct SolverConfig {
   SurfaceSolverOptions surface{};
   FdSolverOptions fd{};
-  /// Solve-precision mode, applied to whichever solver the kind selects
-  /// (overrides `surface.precision` / `fd.precision` when set to kMixed):
-  /// Precision::kMixed runs batched solves as mixed-precision iterative
-  /// refinement — fp32-storage inner sweeps, fp64 true-residual correction,
-  /// same rel_tol bound. Digested into cache_tag (kMixed legitimately
-  /// changes result bits); the SIMD backend, which does not, never is.
-  Precision precision = Precision::kFp64;
 };
 
 /// Stable registry name of a built-in kind ("surface", "fd", "multigrid").

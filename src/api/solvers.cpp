@@ -54,23 +54,13 @@ const char* solver_kind_name(SolverKind kind) {
 std::unique_ptr<SubstrateSolver> make_solver(SolverKind kind, const Layout& layout,
                                              const SubstrateStack& stack,
                                              const SolverConfig& config) {
-  // config.precision is a one-way override: kMixed turns on refinement for
-  // whichever solver the kind selects, kFp64 (the default) defers to the
-  // per-solver option so callers can still configure them individually.
   switch (kind) {
-    case SolverKind::kSurface: {
-      SurfaceSolverOptions options = config.surface;
-      if (config.precision == Precision::kMixed) options.precision = Precision::kMixed;
-      return std::make_unique<SurfaceSolver>(layout, stack, options);
-    }
-    case SolverKind::kFd: {
-      FdSolverOptions options = config.fd;
-      if (config.precision == Precision::kMixed) options.precision = Precision::kMixed;
-      return std::make_unique<FdSolver>(layout, stack, options);
-    }
+    case SolverKind::kSurface:
+      return std::make_unique<SurfaceSolver>(layout, stack, config.surface);
+    case SolverKind::kFd:
+      return std::make_unique<FdSolver>(layout, stack, config.fd);
     case SolverKind::kMultigrid: {
       FdSolverOptions options = config.fd;
-      if (config.precision == Precision::kMixed) options.precision = Precision::kMixed;
       options.precond = FdPreconditioner::kMultigrid;
       return std::make_unique<FdSolver>(layout, stack, options);
     }

@@ -1,10 +1,10 @@
 // Runtime-dispatched SIMD kernel backend (ROADMAP item 4).
 //
 // The hot kernels — the packed, tall-skinny and resident-panel GEMM kernels,
-// the multi-RHS CSR SpMM row kernels, and the DCT twiddle/dense loops — are
-// compiled several
-// times into per-ISA translation units (scalar baseline, AVX2+FMA, AVX-512,
-// NEON) and selected ONCE per process through a table of function pointers.
+// the multi-RHS CSR SpMM row kernels, and the DCT twiddle/dense loops, all
+// fp64 — are compiled several times into per-ISA translation units (scalar
+// baseline, AVX2+FMA, AVX-512, NEON) and selected ONCE per process through a
+// table of function pointers.
 // One binary therefore serves every ISA: the default build carries all
 // variants the compiler can target and CPUID picks the best supported one
 // at first use, overridable with SUBSPAR_BACKEND=scalar|avx2|avx512|neon.
@@ -20,23 +20,13 @@
 //  - The backend choice is NEVER digested into cache tags or ModelCache
 //    keys: all backends implement the same operator to solver tolerance, so
 //    a model extracted under one backend is valid under every other.
-//  - Precision::kMixed (fp32-storage / fp64-accumulate kernels plus the
-//    iterative-refinement outer loop in pcg_block_refined) IS digested into
-//    cache_tag: mixed results are legitimately different bits.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 #include <vector>
 
 namespace subspar {
-
-/// Kernel arithmetic mode carried by SolverConfig and the solver options.
-/// kFp64 is the default full-precision engine; kMixed stores operators in
-/// fp32 (half the bytes moved on the bandwidth-bound paths) while keeping
-/// every accumulator in fp64 and correcting with fp64 true residuals.
-enum class Precision { kFp64, kMixed };
 
 enum class BackendKind { kScalar, kAvx2, kAvx512, kNeon };
 
@@ -58,8 +48,6 @@ struct KernelOps {
   /// acc[4 x 16] = (packed MR-row A strip) x (packed NR-col B strip) over
   /// depth k; strips laid out as dense_kernels.cpp packs them.
   void (*gemm_f64)(const double* ap, const double* bp, std::size_t k, double* acc);
-  /// Mixed GEMM micro-kernel: fp32-packed strips, fp64 accumulators.
-  void (*gemm_f32)(const float* ap, const float* bp, std::size_t k, double* acc);
 
   /// Tall-skinny GEMM (dense_kernels.cpp's row-streaming path), read
   /// straight from the row-major operands. Every output is gemm_f64's
@@ -91,10 +79,6 @@ struct KernelOps {
   /// for all k right-hand-side columns (x row-major with leading dim ldx).
   void (*spmm_row_f64)(const double* vals, const std::size_t* cols, std::size_t nnz,
                        const double* x, std::size_t ldx, double* yrow, std::size_t k);
-  /// Mixed SpMM row: fp32 values + 32-bit column indices (half the bytes
-  /// per traversed entry), fp64 right-hand sides and accumulators.
-  void (*spmm_row_f32)(const float* vals, const std::uint32_t* cols, std::size_t nnz,
-                       const double* x, std::size_t ldx, double* yrow, std::size_t k);
   /// Transpose-apply scatter of one CSR row: y(cols[e], j) += vals[e] *
   /// xrow[j] for j in [j0, j1) (y row-major with leading dim ldy).
   void (*spmm_t_row_f64)(const double* vals, const std::size_t* cols, std::size_t nnz,
@@ -103,7 +87,6 @@ struct KernelOps {
 
   /// Contiguous dot products (the dense-table DCT path).
   double (*dot_f64)(const double* a, const double* b, std::size_t n);
-  double (*dot_f32)(const float* a, const double* b, std::size_t n);
 
   /// DCT-II post-twiddle: x[0] = re(v[0]) * s0, x[k] = (tc[k] re(v[k]) -
   /// ts[k] im(v[k])) * sk for k in [1, n). `v` is n interleaved (re, im)
@@ -114,11 +97,6 @@ struct KernelOps {
   /// c = tc[k], s = -ts[k], ck = x[k]/sk, cnk = x[n-k]/sk:
   /// v[k] = (c ck + s cnk, s ck - c cnk).
   void (*dct3_pre_f64)(const double* tc, const double* ts, const double* x, double* v,
-                       std::size_t n, double s0, double sk);
-  /// Mixed twiddles: fp32 tables, fp64 data and arithmetic.
-  void (*dct2_post_f32)(const float* tc, const float* ts, const double* v, double* x,
-                        std::size_t n, double s0, double sk);
-  void (*dct3_pre_f32)(const float* tc, const float* ts, const double* x, double* v,
                        std::size_t n, double s0, double sk);
 };
 

@@ -35,12 +35,9 @@
 // single output tile it replaces; NN rows split into fixed TALL_ROWS chunks.
 // The MR x NR register block itself lives in the runtime-dispatched kernel
 // backend (linalg/backend.hpp): this file owns packing, tiling, and
-// dispatch; KernelOps::gemm_f64 / gemm_f32 own the inner loop. The fp32
-// variant packs the strips in single precision (mixed mode: half the bytes
-// streamed per k step) while the accumulators stay fp64.
+// dispatch; KernelOps::gemm_f64 owns the inner loop.
 #include <algorithm>
 #include <cstddef>
-#include <type_traits>
 #include <vector>
 
 #include "linalg/backend.hpp"
@@ -118,50 +115,44 @@ void gemm_naive(Matrix& c, const Matrix& a, const Matrix& b, Op op, double alpha
 // NR-column strips, both over the full depth k and zero-padded to the tile.
 // The buffers are thread_local so repeated products reuse the same pages
 // instead of paying an mmap + page-fault + zero cycle per call (they are
-// fully overwritten for the region in use each time). T = double is the
-// bit-exact fp64 engine (static_cast<double>(double) is the identity);
-// T = float packs the mixed-precision strips.
-template <typename T>
+// fully overwritten for the region in use each time).
 struct Packed {
-  std::vector<T> a, b;
+  std::vector<double> a, b;
 };
 
-template <typename T>
-Packed<T>& pack_operands(const Matrix& a, const Matrix& b, Op op, std::size_t m,
-                         std::size_t n, std::size_t k) {
-  thread_local Packed<T> pk;
+Packed& pack_operands(const Matrix& a, const Matrix& b, Op op, std::size_t m, std::size_t n,
+                      std::size_t k) {
+  thread_local Packed pk;
   const std::size_t a_strips = (m + MR - 1) / MR;
   const std::size_t b_strips = (n + NR - 1) / NR;
   if (pk.a.size() < a_strips * MR * k) pk.a.resize(a_strips * MR * k);
   if (pk.b.size() < b_strips * NR * k) pk.b.resize(b_strips * NR * k);
   // Captured as plain pointers: a lambda body naming `pk` directly would
   // re-resolve the thread_local on the executing pool worker, not here.
-  T* const pka = pk.a.data();
-  T* const pkb = pk.b.data();
+  double* const pka = pk.a.data();
+  double* const pkb = pk.b.data();
   parallel_for(a_strips, [&, pka](std::size_t s) {
-    T* dst = pka + s * k * MR;
+    double* dst = pka + s * k * MR;
     const std::size_t rows = std::min(MR, m - s * MR);
     if (rows == MR) {
       for (std::size_t l = 0; l < k; ++l)
-        for (std::size_t r = 0; r < MR; ++r)
-          dst[l * MR + r] = static_cast<T>(read_a(a, op, s * MR + r, l));
+        for (std::size_t r = 0; r < MR; ++r) dst[l * MR + r] = read_a(a, op, s * MR + r, l);
     } else {
       for (std::size_t l = 0; l < k; ++l)
         for (std::size_t r = 0; r < MR; ++r)
-          dst[l * MR + r] = r < rows ? static_cast<T>(read_a(a, op, s * MR + r, l)) : T(0);
+          dst[l * MR + r] = r < rows ? read_a(a, op, s * MR + r, l) : 0.0;
     }
   });
   parallel_for(b_strips, [&, pkb](std::size_t s) {
-    T* dst = pkb + s * k * NR;
+    double* dst = pkb + s * k * NR;
     const std::size_t cols = std::min(NR, n - s * NR);
     if (cols == NR) {
       for (std::size_t l = 0; l < k; ++l)
-        for (std::size_t c = 0; c < NR; ++c)
-          dst[l * NR + c] = static_cast<T>(read_b(b, op, l, s * NR + c));
+        for (std::size_t c = 0; c < NR; ++c) dst[l * NR + c] = read_b(b, op, l, s * NR + c);
     } else {
       for (std::size_t l = 0; l < k; ++l)
         for (std::size_t c = 0; c < NR; ++c)
-          dst[l * NR + c] = c < cols ? static_cast<T>(read_b(b, op, l, s * NR + c)) : T(0);
+          dst[l * NR + c] = c < cols ? read_b(b, op, l, s * NR + c) : 0.0;
     }
   });
   return pk;
@@ -181,22 +172,18 @@ void store_tile_row(double* crow, const double* acc, double alpha, bool accumula
 
 // One output tile: C[i0:i0+mc, j0:j0+nc] += alpha * (A B) restricted to the
 // tile, from the shared packed strips. Runs on a single task. The micro-
-// kernel comes from the active backend; accumulators are fp64 either way.
-template <typename T>
-void compute_tile(const KernelOps& ops, Matrix& c, const Packed<T>& pk, double alpha,
+// kernel comes from the active backend.
+void compute_tile(const KernelOps& ops, Matrix& c, const Packed& pk, double alpha,
                   bool accumulate, std::size_t k, std::size_t m, std::size_t n,
                   std::size_t i0, std::size_t mc, std::size_t j0, std::size_t nc) {
   for (std::size_t jr = 0; jr < nc; jr += NR) {
     const std::size_t cols = std::min(NR, n - (j0 + jr));
-    const T* bp = pk.b.data() + ((j0 + jr) / NR) * k * NR;
+    const double* bp = pk.b.data() + ((j0 + jr) / NR) * k * NR;
     for (std::size_t ir = 0; ir < mc; ir += MR) {
       const std::size_t rows = std::min(MR, m - (i0 + ir));
-      const T* ap = pk.a.data() + ((i0 + ir) / MR) * k * MR;
+      const double* ap = pk.a.data() + ((i0 + ir) / MR) * k * MR;
       double acc[MR][NR];
-      if constexpr (std::is_same_v<T, float>)
-        ops.gemm_f32(ap, bp, k, &acc[0][0]);
-      else
-        ops.gemm_f64(ap, bp, k, &acc[0][0]);
+      ops.gemm_f64(ap, bp, k, &acc[0][0]);
       for (std::size_t r = 0; r < rows; ++r)
         store_tile_row(c.row_ptr(i0 + ir + r) + j0 + jr, acc[r], alpha, accumulate, cols);
     }
@@ -234,13 +221,9 @@ void gemm_tall_nn(const KernelOps& ops, Matrix& c, const Matrix& a, const Matrix
 
 // C += alpha op(A) op(B) (or C = alpha op(A) op(B) when accumulate is
 // false: a fresh zero C need not be re-read). Dispatch depends only on the
-// shapes and the requested precision. Products below the packing threshold
-// take the fp64 naive path even in mixed mode: the fp32 win is bandwidth,
-// and there is none to save on a product that fits in cache. Mixed mode
-// keeps the packed path for tall-skinny shapes too (its fp32 strips are the
-// point of it).
+// shapes.
 void gemm_add(Matrix& c, const Matrix& a, const Matrix& b, Op op, double alpha,
-              bool accumulate = true, Precision precision = Precision::kFp64) {
+              bool accumulate = true) {
   const std::size_t m = c.rows(), n = c.cols();
   const std::size_t k = op == Op::TN ? a.rows() : a.cols();
   if (m == 0 || n == 0 || k == 0 || alpha == 0.0) return;
@@ -249,29 +232,22 @@ void gemm_add(Matrix& c, const Matrix& a, const Matrix& b, Op op, double alpha,
     return;
   }
   const KernelOps& ops = kernel_ops();
-  if (precision == Precision::kFp64) {
-    if (op == Op::TN && m <= TALL && n <= TALL) {
-      gemm_tall_tn(ops, c, a, b, alpha, accumulate);
-      return;
-    }
-    if (op == Op::NN && k <= TALL && n <= TALL) {
-      gemm_tall_nn(ops, c, a, b, alpha, accumulate);
-      return;
-    }
+  if (op == Op::TN && m <= TALL && n <= TALL) {
+    gemm_tall_tn(ops, c, a, b, alpha, accumulate);
+    return;
   }
+  if (op == Op::NN && k <= TALL && n <= TALL) {
+    gemm_tall_nn(ops, c, a, b, alpha, accumulate);
+    return;
+  }
+  const Packed& pk = pack_operands(a, b, op, m, n, k);
   const std::size_t mt = (m + TILE_M - 1) / TILE_M;
   const std::size_t nt = (n + TILE_N - 1) / TILE_N;
-  const auto run_tiles = [&](const auto& pk) {
-    parallel_for(mt * nt, [&](std::size_t t) {
-      const std::size_t i0 = (t / nt) * TILE_M, j0 = (t % nt) * TILE_N;
-      compute_tile(ops, c, pk, alpha, accumulate, k, m, n, i0, std::min(TILE_M, m - i0),
-                   j0, std::min(TILE_N, n - j0));
-    });
-  };
-  if (precision == Precision::kMixed)
-    run_tiles(pack_operands<float>(a, b, op, m, n, k));
-  else
-    run_tiles(pack_operands<double>(a, b, op, m, n, k));
+  parallel_for(mt * nt, [&](std::size_t t) {
+    const std::size_t i0 = (t / nt) * TILE_M, j0 = (t % nt) * TILE_N;
+    compute_tile(ops, c, pk, alpha, accumulate, k, m, n, i0, std::min(TILE_M, m - i0), j0,
+                 std::min(TILE_N, n - j0));
+  });
 }
 
 }  // namespace
@@ -312,25 +288,6 @@ void matmul_nt_add(Matrix& c, const Matrix& a, const Matrix& b, double alpha) {
   gemm_add(c, a, b, Op::NT, alpha);
 }
 
-Matrix matmul_mixed(const Matrix& a, const Matrix& b) {
-  SUBSPAR_REQUIRE(a.cols() == b.rows());
-  Matrix c(a.rows(), b.cols());
-  gemm_add(c, a, b, Op::NN, 1.0, /*accumulate=*/false, Precision::kMixed);
-  return c;
-}
-
-Matrix matmul_tn_mixed(const Matrix& a, const Matrix& b) {
-  SUBSPAR_REQUIRE(a.rows() == b.rows());
-  Matrix c(a.cols(), b.cols());
-  gemm_add(c, a, b, Op::TN, 1.0, /*accumulate=*/false, Precision::kMixed);
-  return c;
-}
-
-void matmul_add_mixed(Matrix& c, const Matrix& a, const Matrix& b, double alpha) {
-  SUBSPAR_REQUIRE(a.cols() == b.rows() && c.rows() == a.rows() && c.cols() == b.cols());
-  gemm_add(c, a, b, Op::NN, alpha, /*accumulate=*/true, Precision::kMixed);
-}
-
 Matrix gram_tn(const Matrix& a) {
   const std::size_t n = a.cols(), k = a.rows();
   Matrix c(n, n);
@@ -341,7 +298,7 @@ Matrix gram_tn(const Matrix& a) {
     // Only tiles on or above the diagonal; the strict lower triangle is
     // mirrored afterwards so the result is exactly symmetric.
     const KernelOps& ops = kernel_ops();
-    const Packed<double>& pk = pack_operands<double>(a, a, Op::TN, n, n, k);
+    const Packed& pk = pack_operands(a, a, Op::TN, n, n, k);
     const std::size_t nt = (n + TILE_N - 1) / TILE_N;
     std::vector<std::pair<std::size_t, std::size_t>> tiles;
     for (std::size_t ti = 0; ti < nt; ++ti)

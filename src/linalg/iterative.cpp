@@ -127,25 +127,11 @@ Matrix select_cols(const Matrix& m, const std::vector<std::size_t>& keep) {
 }  // namespace
 
 Matrix pcg_block(const LinearOpMany& a, const Matrix& b, const IterOptions& opt,
-                 BlockIterStats* stats, const Preconditioner* precond,
-                 Precision precision) {
+                 BlockIterStats* stats, const Preconditioner* precond) {
   const std::size_t n = b.rows();
   const std::size_t k = b.cols();
   Matrix x(n, k);
   BlockIterStats local;
-
-  // The dense block-Krylov algebra through the requested GEMM engine. The
-  // small Gram solves (solve_block_gram) stay fp64 in both modes.
-  const bool mixed = precision == Precision::kMixed;
-  const auto mm_tn = [mixed](const Matrix& u, const Matrix& v) {
-    return mixed ? matmul_tn_mixed(u, v) : matmul_tn(u, v);
-  };
-  const auto mm_add = [mixed](Matrix& c, const Matrix& u, const Matrix& v, double alpha) {
-    if (mixed)
-      matmul_add_mixed(c, u, v, alpha);
-    else
-      matmul_add(c, u, v, alpha);
-  };
 
   // Zero columns solve to zero; drop them so the Gram systems stay SPD.
   std::vector<double> bnorm_all = column_sum_squares(b);
@@ -177,7 +163,7 @@ Matrix pcg_block(const LinearOpMany& a, const Matrix& b, const IterOptions& opt,
   };
   precondition();
   Matrix p = z;
-  Matrix s = mm_tn(z, r);  // live x live Gram of the recurrence
+  Matrix s = matmul_tn(z, r);  // live x live Gram of the recurrence
   // Stagnation watchdog: if the worst residual has not halved within a
   // window, the search directions have degenerated — recompute the true
   // residual and restart the recurrence from the current iterate.
@@ -190,10 +176,10 @@ Matrix pcg_block(const LinearOpMany& a, const Matrix& b, const IterOptions& opt,
     // granularity is what bounds a cancelled job's latency.
     cancellation_point("pcg_block");
     const Matrix q = a(p);
-    const Matrix t = mm_tn(p, q);
+    const Matrix t = matmul_tn(p, q);
     const Matrix alpha = solve_block_gram(t, s);
-    mm_add(xa, p, alpha, 1.0);
-    mm_add(r, q, alpha, -1.0);
+    matmul_add(xa, p, alpha, 1.0);
+    matmul_add(r, q, alpha, -1.0);
     local.iterations = it + 1;
 
     // Per-column residuals; deflate converged columns out of the block so
@@ -246,14 +232,14 @@ Matrix pcg_block(const LinearOpMany& a, const Matrix& b, const IterOptions& opt,
         for (std::size_t j = 0; j < active.size(); ++j) r(i, j) += b(i, active[j]);
       precondition();
       p = z;
-      s = mm_tn(z, r);
+      s = matmul_tn(z, r);
       stall_ref = worst;
       stall_it = it;
       continue;
     }
 
     precondition();
-    const Matrix s_next = mm_tn(z, r);
+    const Matrix s_next = matmul_tn(z, r);
     if (deflated) {
       // Fresh directions for the surviving columns (their cross terms with
       // the deflated ones are gone); CG re-accelerates from here.
@@ -264,7 +250,7 @@ Matrix pcg_block(const LinearOpMany& a, const Matrix& b, const IterOptions& opt,
     // p <- z + p beta, built in z's block; the old p's block becomes the
     // next preconditioner output.
     const Matrix beta = solve_block_gram(s, s_next);
-    mm_add(z, p, beta, 1.0);
+    matmul_add(z, p, beta, 1.0);
     std::swap(p, z);
     s = s_next;
   }
@@ -272,77 +258,6 @@ Matrix pcg_block(const LinearOpMany& a, const Matrix& b, const IterOptions& opt,
   for (std::size_t i = 0; i < n; ++i)
     for (std::size_t j = 0; j < active.size(); ++j) x(i, active[j]) = xa(i, j);
   if (stats) *stats = local;
-  return x;
-}
-
-Matrix pcg_block_refined(const LinearOpMany& a_hi, const LinearOpMany& a_lo,
-                         const Matrix& b, const IterOptions& opt, BlockIterStats* stats,
-                         const Preconditioner* precond) {
-  const std::size_t n = b.rows();
-  const std::size_t k = b.cols();
-  // Inner sweeps only need to contract the residual by ~kInnerTol per outer
-  // round: fp32 operator entries carry ~6e-8 relative rounding, so pushing
-  // an inner sweep much past 1e-4 buys nothing the fp64 correction doesn't
-  // redo. Invariants of the loop: (1) x is only ever updated by ADDING a
-  // correction solved against the current TRUE fp64 residual, so no inner
-  // inaccuracy accumulates across rounds; (2) convergence is judged ONLY
-  // against the fp64 operator, never the mirror — the exit bound is
-  // therefore identical to pure-fp64 pcg_block's.
-  constexpr double kInnerTol = 1e-4;
-  constexpr std::size_t kMaxOuter = 8;
-  BlockIterStats total;
-  Matrix x(n, k);
-
-  std::vector<double> bnorm = column_sum_squares(b);
-  bool any = false;
-  for (std::size_t j = 0; j < k; ++j) {
-    bnorm[j] = std::sqrt(bnorm[j]);
-    any = any || bnorm[j] > 0.0;
-  }
-  if (!any) {
-    total.converged = true;
-    if (stats) *stats = total;
-    return x;
-  }
-
-  IterOptions inner = opt;
-  inner.rel_tol = std::max(opt.rel_tol, kInnerTol);
-  Matrix r = b;
-  double prev_worst = 0.0;
-  for (std::size_t outer = 0; outer < kMaxOuter; ++outer) {
-    BlockIterStats is;
-    const Matrix d = pcg_block(a_lo, r, inner, &is, precond, Precision::kMixed);
-    total.iterations += is.iterations;
-    for (std::size_t i = 0; i < n; ++i) {
-      double* xrow = x.row_ptr(i);
-      const double* drow = d.row_ptr(i);
-      for (std::size_t j = 0; j < k; ++j) xrow[j] += drow[j];
-    }
-    // One fp64 operator apply per round: the true residual r = b - A x.
-    r = a_hi(x);
-    r *= -1.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      double* rrow = r.row_ptr(i);
-      const double* brow = b.row_ptr(i);
-      for (std::size_t j = 0; j < k; ++j) rrow[j] += brow[j];
-    }
-    const std::vector<double> rs = column_sum_squares(r);
-    double worst = 0.0;
-    for (std::size_t j = 0; j < k; ++j) {
-      if (bnorm[j] == 0.0) continue;
-      worst = std::max(worst, std::sqrt(rs[j]) / bnorm[j]);
-    }
-    total.max_relative_residual = worst;
-    if (worst <= opt.rel_tol) {
-      total.converged = true;
-      break;
-    }
-    // No meaningful contraction: the fp32 mirror's accuracy floor. Stop and
-    // let the caller's fp64 fallback chain take over.
-    if (outer > 0 && !(worst < 0.5 * prev_worst)) break;
-    prev_worst = worst;
-  }
-  if (stats) *stats = total;
   return x;
 }
 

@@ -1,15 +1,16 @@
 // Krylov-subspace solvers operating on black-box operators (§2.2.2).
 //
 // Both substrate solvers use PCG: the finite-difference solver with the
-// fast-Poisson-solver preconditioners of Table 2.1 (or incomplete Cholesky),
-// the eigenfunction solver unpreconditioned. GMRES(m) is provided for
-// non-symmetric experimentation.
+// fast-Poisson-solver preconditioners of Table 2.1 (or incomplete Cholesky,
+// or a multigrid V-cycle), the eigenfunction solver with block-Jacobi over
+// contacts by default (SurfaceSolverOptions::contact_block_precond).
+// GMRES(m) solves the circuit simulator's non-symmetric MNA systems
+// (circuit/simulator.cpp).
 #pragma once
 
 #include <cstddef>
 #include <functional>
 
-#include "linalg/backend.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/vector.hpp"
 
@@ -93,28 +94,8 @@ struct BlockIterStats {
 /// return zero columns. Deterministic for any SUBSPAR_THREADS.
 /// Preconditioning goes through the blockwise Preconditioner interface
 /// (nullptr = identity); wrap ad-hoc callables in FunctionPreconditioner.
-/// `precision` selects the GEMM engine for the block-Krylov dense algebra
-/// (Gram products and direction updates): Precision::kMixed uses the
-/// fp32-packed / fp64-accumulate kernels — used by the refinement inner
-/// sweeps, where the fp64 outer correction absorbs the fp32 input rounding.
 Matrix pcg_block(const LinearOpMany& a, const Matrix& b, const IterOptions& opt,
-                 BlockIterStats* stats, const Preconditioner* precond = nullptr,
-                 Precision precision = Precision::kFp64);
-
-/// Mixed-precision iterative refinement around pcg_block (§kMixed engine):
-/// inner block-PCG sweeps solve against the LOW-precision operator `a_lo`
-/// (e.g. SparseMirrorF32::apply_many or an fp32-table DCT operator) with a
-/// loose inner tolerance and Precision::kMixed dense algebra; each outer
-/// round then computes the TRUE fp64 residual with `a_hi` and re-solves for
-/// the correction, until every column meets opt.rel_tol against the fp64
-/// operator — the returned solution satisfies the SAME residual bound as a
-/// pure-fp64 pcg_block run. Returns converged=false when the refinement
-/// stalls at the fp32 representation floor before reaching rel_tol (callers
-/// like robust_pcg_block then fall back to the fp64 path). `stats` reports
-/// summed inner iterations and the final fp64 residual.
-Matrix pcg_block_refined(const LinearOpMany& a_hi, const LinearOpMany& a_lo,
-                         const Matrix& b, const IterOptions& opt, BlockIterStats* stats,
-                         const Preconditioner* precond = nullptr);
+                 BlockIterStats* stats, const Preconditioner* precond = nullptr);
 
 /// Restarted GMRES(m).
 Vector gmres(const LinearOp& a, const Vector& b, std::size_t restart, const IterOptions& opt,

@@ -85,18 +85,4 @@ void matmul_nt_add(Matrix& c, const Matrix& a, const Matrix& b, double alpha = 1
 /// A' A: exactly symmetric (upper triangle computed, lower mirrored).
 Matrix gram_tn(const Matrix& a);
 
-// Mixed-precision GEMM (Precision::kMixed engine): operands are packed as
-// fp32 strips — half the bytes streamed through the micro-kernel — while
-// every accumulator stays fp64, so the result carries fp32 input rounding
-// but no fp32 summation error. Deterministic for a fixed backend; products
-// below the packing threshold run the fp64 path unchanged (no bandwidth to
-// save in cache). Used by the iterative-refinement inner sweeps
-// (pcg_block_refined), which correct with fp64 true residuals.
-/// C = A B, fp32-packed operands with fp64 accumulation.
-Matrix matmul_mixed(const Matrix& a, const Matrix& b);
-/// C = A' B, fp32-packed operands with fp64 accumulation.
-Matrix matmul_tn_mixed(const Matrix& a, const Matrix& b);
-/// C += alpha A B in place, fp32-packed operands with fp64 accumulation.
-void matmul_add_mixed(Matrix& c, const Matrix& a, const Matrix& b, double alpha = 1.0);
-
 }  // namespace subspar

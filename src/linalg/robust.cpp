@@ -47,15 +47,10 @@ bool fault_corrupt(FaultSite site, Vector& y) {
 
 Matrix robust_pcg_block(const LinearOpMany& a, const Matrix& b, const RobustSolveOptions& opt,
                         RobustSolveReport* report, const Preconditioner* precond,
-                        const Preconditioner* tighter, const DirectSolveFn& direct,
-                        const LinearOpMany& a_lo) {
+                        const Preconditioner* tighter, const DirectSolveFn& direct) {
   RobustSolveReport rep;
   BlockIterStats stats;
-  // Mixed mode swaps only attempt 0 for iterative refinement against the
-  // fp32 mirror; its exit test is the fp64 true residual, so acceptance
-  // below is unchanged. All restarts/fallbacks run pure fp64.
-  Matrix x = a_lo ? pcg_block_refined(a, a_lo, b, opt.iter, &stats, precond)
-                  : pcg_block(a, b, opt.iter, &stats, precond);
+  Matrix x = pcg_block(a, b, opt.iter, &stats, precond);
   rep.iterations = stats.iterations;
   rep.worst_residual = stats.max_relative_residual;
   const bool corrupted = fault_corrupt(FaultSite::kSolverSolve, x);

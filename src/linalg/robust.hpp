@@ -68,18 +68,10 @@ using DirectSolveFn = std::function<Matrix(const Matrix& b)>;
 /// Runs the chain described above. The happy path returns pcg_block's result
 /// bit-identical. Throws SolverConvergenceError when columns remain
 /// unrecovered after the whole chain.
-///
-/// `a_lo` (optional) is a LOW-precision mirror of `a` (fp32 storage — e.g.
-/// SparseMirrorF32 or an fp32-table DCT operator): when provided, attempt 0
-/// runs mixed-precision iterative refinement (pcg_block_refined) instead of
-/// plain pcg_block — the fp64 true-residual correction gives the same
-/// residual bound — and every restart and fallback stays pure fp64, so the
-/// recovery chain is never weaker than the fp64 path.
 Matrix robust_pcg_block(const LinearOpMany& a, const Matrix& b, const RobustSolveOptions& opt,
                         RobustSolveReport* report, const Preconditioner* precond = nullptr,
                         const Preconditioner* tighter = nullptr,
-                        const DirectSolveFn& direct = nullptr,
-                        const LinearOpMany& a_lo = nullptr);
+                        const DirectSolveFn& direct = nullptr);
 
 /// Applies the seeded fault schedule to a result block: when `site` fires,
 /// one deterministic entry of `y` is overwritten with a deterministic

@@ -157,34 +157,6 @@ Matrix SparseMatrix::apply_t_many(const Matrix& x) const {
   return y;
 }
 
-SparseMirrorF32::SparseMirrorF32(const SparseMatrix& a)
-    : rows_(a.rows_), cols_(a.cols_), rowptr_(a.rowptr_) {
-  SUBSPAR_REQUIRE(a.cols_ < (std::size_t{1} << 32));
-  colidx_.reserve(a.colidx_.size());
-  val_.reserve(a.val_.size());
-  for (std::size_t c : a.colidx_) colidx_.push_back(static_cast<std::uint32_t>(c));
-  for (double v : a.val_) val_.push_back(static_cast<float>(v));
-}
-
-Matrix SparseMirrorF32::apply_many(const Matrix& x) const {
-  SUBSPAR_REQUIRE(x.rows() == cols_);
-  const std::size_t k = x.cols();
-  Matrix y(rows_, k);
-  if (k == 0 || rows_ == 0) return y;
-  const KernelOps& ops = kernel_ops();
-  const std::size_t chunks = (rows_ + kSpmmRowChunk - 1) / kSpmmRowChunk;
-  parallel_for(chunks, [&](std::size_t t) {
-    const std::size_t i0 = t * kSpmmRowChunk;
-    const std::size_t i1 = std::min(rows_, i0 + kSpmmRowChunk);
-    for (std::size_t i = i0; i < i1; ++i) {
-      const std::size_t e0 = rowptr_[i], e1 = rowptr_[i + 1];
-      ops.spmm_row_f32(val_.data() + e0, colidx_.data() + e0, e1 - e0, x.row_ptr(0), k,
-                       y.row_ptr(i), k);
-    }
-  });
-  return y;
-}
-
 SparseMatrix SparseMatrix::permuted(const std::vector<std::size_t>& p) const {
   SUBSPAR_REQUIRE(rows_ == cols_ && p.size() == rows_);
   const std::vector<std::size_t> inv = invert_permutation(p);  // validates p

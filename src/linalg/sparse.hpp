@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -96,40 +95,10 @@ class SparseMatrix {
 
  private:
   friend SparseMatrix ic0(const SparseMatrix&);
-  friend class SparseMirrorF32;
   std::size_t rows_ = 0, cols_ = 0;
   std::vector<std::size_t> rowptr_{0};
   std::vector<std::size_t> colidx_;
   std::vector<double> val_;
-};
-
-/// Mixed-precision mirror of a SparseMatrix: the same CSR pattern with fp32
-/// values and 32-bit column indices — half the bytes per traversed entry on
-/// the bandwidth-bound SpMM path — applied against fp64 right-hand sides
-/// with fp64 accumulators (KernelOps::spmm_row_f32). The mirror is an
-/// APPROXIMATION of its source (values carry one fp32 rounding), used as
-/// the inner operator of iterative refinement (pcg_block_refined) where an
-/// fp64 true-residual correction restores full accuracy. Requires
-/// cols < 2^32. Holds no reference to the source matrix.
-class SparseMirrorF32 {
- public:
-  SparseMirrorF32() = default;
-  explicit SparseMirrorF32(const SparseMatrix& a);
-
-  std::size_t rows() const { return rows_; }
-  std::size_t cols() const { return cols_; }
-  std::size_t nnz() const { return val_.size(); }
-
-  /// Y = mirror(A) X, same chunking/determinism contract as
-  /// SparseMatrix::apply_many (bit-identical for any SUBSPAR_THREADS under
-  /// a fixed backend).
-  Matrix apply_many(const Matrix& x) const;
-
- private:
-  std::size_t rows_ = 0, cols_ = 0;
-  std::vector<std::size_t> rowptr_{0};
-  std::vector<std::uint32_t> colidx_;
-  std::vector<float> val_;
 };
 
 }  // namespace subspar

@@ -94,8 +94,7 @@ struct SurfaceSolver::Impl {
   // own panel grid, run the batched 2-D DCTs (threaded over columns),
   // scale by the operator eigenvalues, transform back, restrict. Identical
   // per-column arithmetic to the single-vector path for any thread count.
-  Matrix apply_restricted_many(const Matrix& x,
-                               Precision precision = Precision::kFp64) const {
+  Matrix apply_restricted_many(const Matrix& x) const {
     const std::size_t mx = layout.panels_x(), ny = layout.panels_y();
     const std::size_t gsz = grid_size();
     const std::size_t k = x.cols();
@@ -104,12 +103,9 @@ struct SurfaceSolver::Impl {
       double* g = grids.data() + j * gsz;
       for (std::size_t idx = 0; idx < panels.size(); ++idx) g[panels[idx]] = x(idx, j);
     }
-    // kMixed drops only the transform tables to fp32; the eigenvalue
-    // scaling between the transforms stays fp64 — it is O(n) against the
-    // transforms' O(n log n) and carries the stack's dynamic range.
-    dct2_2d_many(grids, ny, mx, k, precision);
+    dct2_2d_many(grids, ny, mx, k);
     parallel_for(k, [&](std::size_t j) { scale_modes(grids.data() + j * gsz); });
-    dct3_2d_many(grids, ny, mx, k, precision);
+    dct3_2d_many(grids, ny, mx, k);
     Matrix out(panels.size(), k);
     for (std::size_t j = 0; j < k; ++j) {
       const double* g = grids.data() + j * gsz;
@@ -183,20 +179,10 @@ struct SurfaceSolver::Impl {
           panels.size() <= kMaxDirectDim
               ? DirectSolveFn([&](const Matrix& bb) { return direct_solve(bb); })
               : DirectSolveFn();
-      // kMixed: the fp32-table operator drives the refinement inner sweeps;
-      // the fp64 exit test (and the whole fallback chain) keeps the rel_tol
-      // bound. Faults target the trusted fp64 applies only.
-      const LinearOpMany op_lo =
-          options.precision == Precision::kMixed
-              ? LinearOpMany([&](const Matrix& x) {
-                  return apply_restricted_many(x, Precision::kMixed);
-                })
-              : LinearOpMany();
       const Matrix q = robust_pcg_block(
           op, v,
           {.iter = {.rel_tol = options.rel_tol, .max_iterations = options.max_iterations}},
-          &rrep, options.contact_block_precond ? &pre : nullptr, /*tighter=*/nullptr, direct,
-          op_lo);
+          &rrep, options.contact_block_precond ? &pre : nullptr, /*tighter=*/nullptr, direct);
       accumulate_diag(diag, rrep);
       total_iterations += static_cast<long>(rrep.iterations) * static_cast<long>(kc);
       stat_solves += static_cast<long>(kc);
@@ -304,11 +290,10 @@ std::size_t SurfaceSolver::n_contacts() const { return impl_->layout.n_contacts(
 std::string SurfaceSolver::cache_tag() const {
   const SurfaceSolverOptions& o = impl_->options;
   char buf[96];
-  // `precision` is digested (kMixed legitimately changes result bits); the
-  // SIMD backend deliberately is not (all backends agree to solver
-  // tolerance).
-  std::snprintf(buf, sizeof buf, "|%a|%zu|%d|p%d|", o.rel_tol, o.max_iterations,
-                o.contact_block_precond ? 1 : 0, static_cast<int>(o.precision));
+  // The SIMD backend is deliberately not digested (all backends agree to
+  // solver tolerance).
+  std::snprintf(buf, sizeof buf, "|%a|%zu|%d|", o.rel_tol, o.max_iterations,
+                o.contact_block_precond ? 1 : 0);
   return name() + buf + substrate_fingerprint(impl_->layout, impl_->stack);
 }
 

@@ -19,7 +19,6 @@
 #include <memory>
 
 #include "geometry/layout.hpp"
-#include "linalg/backend.hpp"
 #include "linalg/iterative.hpp"
 #include "substrate/solver.hpp"
 #include "substrate/stack.hpp"
@@ -30,12 +29,6 @@ struct SurfaceSolverOptions {
   double rel_tol = 1e-6;           ///< CG residual tolerance (paper's choice)
   std::size_t max_iterations = 2000;
   bool contact_block_precond = true;  ///< block-Jacobi over contacts
-  /// kMixed: batched solves run mixed-precision iterative refinement — the
-  /// inner PCG sweeps apply the panel operator through fp32 DCT twiddle /
-  /// dense tables (eigenvalue scaling stays fp64) and an fp64 true-residual
-  /// correction restores the rel_tol bound. Legitimately different result
-  /// bits (digested into cache_tag).
-  Precision precision = Precision::kFp64;
 };
 
 class SurfaceSolver : public SubstrateSolver {

@@ -77,9 +77,6 @@ struct FdSolver::Impl {
   double g_contact = 0.0;  ///< ghost-resistor conductance sigma_top * h
 
   SparseMatrix a;  // grid-of-resistors Laplacian
-  // Mixed-precision mirror of `a` (fp32 values, 32-bit column indices):
-  // drives the inner sweeps of iterative refinement. Empty in kFp64 mode.
-  SparseMirrorF32 a_lo;
   // The sparse engine's preconditioner branch (fast-Poisson / batched
   // multigrid / RCM-reordered level-scheduled IC(0)); null = plain CG.
   // The multigrid hierarchy outlives its non-owning preconditioner wrapper.
@@ -131,18 +128,10 @@ struct FdSolver::Impl {
         b.rows() <= kMaxDirectDim
             ? DirectSolveFn([this](const Matrix& bb) { return direct_solve(bb); })
             : DirectSolveFn();
-    // kMixed: the fp32 mirror drives the refinement inner sweeps; the fp64
-    // true-residual correction (and the whole fallback chain) keeps the
-    // rel_tol bound. Faults are injected on the fp64 applies only — the
-    // mirror is an approximation the refinement already treats as untrusted.
-    const LinearOpMany op_lo =
-        options.precision == Precision::kMixed
-            ? LinearOpMany([&](const Matrix& p) { return a_lo.apply_many(p); })
-            : LinearOpMany();
     const Matrix xc = robust_pcg_block(
         op, b,
         {.iter = {.rel_tol = options.rel_tol, .max_iterations = options.max_iterations}},
-        &rrep, precond.get(), tighter.get(), direct, op_lo);
+        &rrep, precond.get(), tighter.get(), direct);
     accumulate_diag(d, rrep);
     if (iterations) *iterations = rrep.iterations;
     return xc;
@@ -173,10 +162,7 @@ struct FdSolver::Impl {
   void solve_volume_blocks(const Matrix& contact_voltages, SolverDiagnostics& d,
                            Sink&& sink) const {
     const std::size_t k = contact_voltages.cols();
-    // The scalar fast path is fp64-only: mixed-precision refinement is a
-    // batched construct (fp32 SpMM bandwidth + fp64 correction), so a mixed
-    // single column routes through robust_chunk like any other block.
-    if (k == 1 && options.precision == Precision::kFp64) {
+    if (k == 1) {
       const Matrix bm = assemble_rhs(contact_voltages, 0, 1);
       const Vector b = bm.col(0);
       IterStats stats;
@@ -323,7 +309,6 @@ FdSolver::FdSolver(const Layout& layout, const SubstrateStack& stack, FdSolverOp
   }
 
   im.a = assemble_grid_laplacian(spec);
-  if (options.precision == Precision::kMixed) im.a_lo = SparseMirrorF32(im.a);
   // The fallback chain's tighter preconditioner; pointless when IC(0) is
   // already the primary. Lazy: the factor is only built if a solve fails.
   if (options.precond != FdPreconditioner::kIncompleteCholesky)
@@ -381,15 +366,11 @@ std::string FdSolver::cache_tag() const {
   // The sparse-engine knobs (reorder, multigrid smoother/sweeps) cannot
   // change the operator G beyond solver tolerance, but they select
   // different preconditioners — digest them so perf A/B runs get distinct
-  // cache entries too.
-  // `precision` is digested too: kMixed legitimately produces different
-  // result bits (same residual bound), unlike the SIMD backend, which is
-  // deliberately NOT part of the tag.
-  std::snprintf(buf, sizeof buf, "|%a|%d|%a|%zu|%d|%d|%d|%d|p%d", o.grid_h,
+  // cache entries too. The SIMD backend is deliberately NOT part of the tag.
+  std::snprintf(buf, sizeof buf, "|%a|%d|%a|%zu|%d|%d|%d|%d", o.grid_h,
                 static_cast<int>(o.precond), o.rel_tol, o.max_iterations,
                 o.ghost_half_spacing ? 1 : 0, static_cast<int>(o.reorder),
-                static_cast<int>(o.mg_smoother), o.mg_smoothing_sweeps,
-                static_cast<int>(o.precision));
+                static_cast<int>(o.mg_smoother), o.mg_smoothing_sweeps);
   std::string tag = name() + buf;
   for (const SubstrateWell& w : o.wells) {
     std::snprintf(buf, sizeof buf, "|%a,%a,%a,%a,%a", w.x0, w.y0, w.width, w.height, w.depth);

@@ -13,7 +13,6 @@
 #include <memory>
 
 #include "geometry/layout.hpp"
-#include "linalg/backend.hpp"
 #include "substrate/multigrid.hpp"
 #include "substrate/solver.hpp"
 #include "substrate/stack.hpp"
@@ -71,11 +70,6 @@ struct FdSolverOptions {
   /// pre/post sweeps per level.
   MultigridSmoother mg_smoother = MultigridSmoother::kGaussSeidel;
   int mg_smoothing_sweeps = 1;
-  /// kMixed: batched solves run mixed-precision iterative refinement — an
-  /// fp32 mirror of the grid Laplacian (SparseMirrorF32) drives the inner
-  /// PCG sweeps and an fp64 true-residual correction restores the rel_tol
-  /// bound. Legitimately different result bits (digested into cache_tag).
-  Precision precision = Precision::kFp64;
 };
 
 class FdSolver : public SubstrateSolver {

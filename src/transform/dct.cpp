@@ -3,6 +3,7 @@
 #include <cmath>
 #include <map>
 
+#include "linalg/backend.hpp"
 #include "util/check.hpp"
 #include "util/parallel.hpp"
 
@@ -23,46 +24,29 @@ DctPlan::DctPlan(std::size_t n) : n_(n), fast_(is_power_of_two(n) && n > 1) {
     (void)fft_plan(n);  // warm the FFT plan for this thread
     tw_cos_.resize(n);
     tw_sin_.resize(n);
-    tw_cos_f_.resize(n);
-    tw_sin_f_.resize(n);
     for (std::size_t k = 0; k < n; ++k) {
       const double ang = -kPi * static_cast<double>(k) / (2.0 * static_cast<double>(n));
       tw_cos_[k] = std::cos(ang);
       tw_sin_[k] = std::sin(ang);
-      tw_cos_f_[k] = static_cast<float>(tw_cos_[k]);
-      tw_sin_f_[k] = static_cast<float>(tw_sin_[k]);
     }
     scratch_.resize(n);
   } else {
     // Dense orthonormal DCT-II matrix, row-major: one trigonometric table
     // instead of O(N^2) cos calls per transform. The transpose gives dct3
-    // contiguous rows (a plain dot per output), and the fp32 mirrors feed
-    // the kMixed path.
+    // contiguous rows (a plain dot per output).
     dense_ = dct2_matrix(n);
     dense_t_ = dense_.transposed();
-    dense_f_.resize(n * n);
-    dense_t_f_.resize(n * n);
-    for (std::size_t k = 0; k < n; ++k) {
-      for (std::size_t j = 0; j < n; ++j) {
-        dense_f_[k * n + j] = static_cast<float>(dense_(k, j));
-        dense_t_f_[j * n + k] = static_cast<float>(dense_(k, j));
-      }
-    }
   }
 }
 
-void DctPlan::dct2(double* x, Precision precision) const {
+void DctPlan::dct2(double* x) const {
   const std::size_t n = n_;
   const KernelOps& ops = kernel_ops();
   if (!fast_) {
     // Dense rows are contiguous: one backend dot per output (the scalar
     // backend's dot is the original ascending-j loop, bit for bit).
     std::vector<double> y(n, 0.0);
-    if (precision == Precision::kMixed) {
-      for (std::size_t k = 0; k < n; ++k) y[k] = ops.dot_f32(dense_f_.data() + k * n, x, n);
-    } else {
-      for (std::size_t k = 0; k < n; ++k) y[k] = ops.dot_f64(dense_.row_ptr(k), x, n);
-    }
+    for (std::size_t k = 0; k < n; ++k) y[k] = ops.dot_f64(dense_.row_ptr(k), x, n);
     for (std::size_t k = 0; k < n; ++k) x[k] = y[k];
     return;
   }
@@ -76,24 +60,17 @@ void DctPlan::dct2(double* x, Precision precision) const {
   // Post-twiddle on the backend; std::complex<double> is array-compatible
   // with interleaved (re, im) doubles by the standard's layout guarantee.
   const double* vd = reinterpret_cast<const double*>(v);
-  if (precision == Precision::kMixed)
-    ops.dct2_post_f32(tw_cos_f_.data(), tw_sin_f_.data(), vd, x, n, s0_, sk_);
-  else
-    ops.dct2_post_f64(tw_cos_.data(), tw_sin_.data(), vd, x, n, s0_, sk_);
+  ops.dct2_post_f64(tw_cos_.data(), tw_sin_.data(), vd, x, n, s0_, sk_);
 }
 
-void DctPlan::dct3(double* x, Precision precision) const {
+void DctPlan::dct3(double* x) const {
   const std::size_t n = n_;
   const KernelOps& ops = kernel_ops();
   if (!fast_) {
     // dct3 is the transpose product; dense_t_ makes each output a
     // contiguous dot in the original ascending-k accumulation order.
     std::vector<double> y(n, 0.0);
-    if (precision == Precision::kMixed) {
-      for (std::size_t j = 0; j < n; ++j) y[j] = ops.dot_f32(dense_t_f_.data() + j * n, x, n);
-    } else {
-      for (std::size_t j = 0; j < n; ++j) y[j] = ops.dot_f64(dense_t_.row_ptr(j), x, n);
-    }
+    for (std::size_t j = 0; j < n; ++j) y[j] = ops.dot_f64(dense_t_.row_ptr(j), x, n);
     for (std::size_t j = 0; j < n; ++j) x[j] = y[j];
     return;
   }
@@ -103,10 +80,7 @@ void DctPlan::dct3(double* x, Precision precision) const {
   // sin = -tw_sin.
   Complex* v = scratch_.data();
   double* vd = reinterpret_cast<double*>(v);
-  if (precision == Precision::kMixed)
-    ops.dct3_pre_f32(tw_cos_f_.data(), tw_sin_f_.data(), x, vd, n, s0_, sk_);
-  else
-    ops.dct3_pre_f64(tw_cos_.data(), tw_sin_.data(), x, vd, n, s0_, sk_);
+  ops.dct3_pre_f64(tw_cos_.data(), tw_sin_.data(), x, vd, n, s0_, sk_);
   fft_plan(n).inverse(v);
   for (std::size_t j = 0; j < n / 2; ++j) {
     x[2 * j] = v[j].real();
@@ -180,54 +154,50 @@ namespace {
 
 // One grid: rows through the length-`cols` plan in place, columns gathered
 // through the length-`rows` plan. No per-row allocation; one column buffer.
-void separable_2d_planned(double* a, std::size_t rows, std::size_t cols, bool forward,
-                          Precision precision) {
+void separable_2d_planned(double* a, std::size_t rows, std::size_t cols, bool forward) {
   const DctPlan& row_plan = dct_plan(cols);
   const DctPlan& col_plan = dct_plan(rows);
   for (std::size_t i = 0; i < rows; ++i) {
     double* row = a + i * cols;
-    forward ? row_plan.dct2(row, precision) : row_plan.dct3(row, precision);
+    forward ? row_plan.dct2(row) : row_plan.dct3(row);
   }
   std::vector<double> colbuf(rows);
   for (std::size_t j = 0; j < cols; ++j) {
     for (std::size_t i = 0; i < rows; ++i) colbuf[i] = a[i * cols + j];
-    forward ? col_plan.dct2(colbuf.data(), precision)
-            : col_plan.dct3(colbuf.data(), precision);
+    forward ? col_plan.dct2(colbuf.data()) : col_plan.dct3(colbuf.data());
     for (std::size_t i = 0; i < rows; ++i) a[i * cols + j] = colbuf[i];
   }
 }
 
 void separable_2d_many(std::vector<double>& a, std::size_t rows, std::size_t cols,
-                       std::size_t batch, bool forward, Precision precision) {
+                       std::size_t batch, bool forward) {
   SUBSPAR_REQUIRE(a.size() == batch * rows * cols);
   const std::size_t grid = rows * cols;
   parallel_for(batch, [&](std::size_t b) {
-    separable_2d_planned(a.data() + b * grid, rows, cols, forward, precision);
+    separable_2d_planned(a.data() + b * grid, rows, cols, forward);
   });
 }
 
 }  // namespace
 
-void dct2_2d(std::vector<double>& a, std::size_t rows, std::size_t cols,
-             Precision precision) {
+void dct2_2d(std::vector<double>& a, std::size_t rows, std::size_t cols) {
   SUBSPAR_REQUIRE(a.size() == rows * cols);
-  separable_2d_planned(a.data(), rows, cols, /*forward=*/true, precision);
+  separable_2d_planned(a.data(), rows, cols, /*forward=*/true);
 }
 
-void dct3_2d(std::vector<double>& a, std::size_t rows, std::size_t cols,
-             Precision precision) {
+void dct3_2d(std::vector<double>& a, std::size_t rows, std::size_t cols) {
   SUBSPAR_REQUIRE(a.size() == rows * cols);
-  separable_2d_planned(a.data(), rows, cols, /*forward=*/false, precision);
+  separable_2d_planned(a.data(), rows, cols, /*forward=*/false);
 }
 
 void dct2_2d_many(std::vector<double>& a, std::size_t rows, std::size_t cols,
-                  std::size_t batch, Precision precision) {
-  separable_2d_many(a, rows, cols, batch, /*forward=*/true, precision);
+                  std::size_t batch) {
+  separable_2d_many(a, rows, cols, batch, /*forward=*/true);
 }
 
 void dct3_2d_many(std::vector<double>& a, std::size_t rows, std::size_t cols,
-                  std::size_t batch, Precision precision) {
-  separable_2d_many(a, rows, cols, batch, /*forward=*/false, precision);
+                  std::size_t batch) {
+  separable_2d_many(a, rows, cols, batch, /*forward=*/false);
 }
 
 }  // namespace subspar

@@ -18,7 +18,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "linalg/backend.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/vector.hpp"
 #include "transform/fft.hpp"
@@ -42,13 +41,10 @@ class DctPlan {
   std::size_t size() const { return n_; }
 
   /// In-place orthonormal DCT-II of x[0..n). The twiddle/dense loops run on
-  /// the active kernel backend; Precision::kMixed reads the fp32 mirror
-  /// tables (fp64 data and accumulation — the FFT core stays fp64 either
-  /// way), trading one fp32 rounding per table entry for half the table
-  /// bandwidth.
-  void dct2(double* x, Precision precision = Precision::kFp64) const;
+  /// the active kernel backend.
+  void dct2(double* x) const;
   /// In-place orthonormal DCT-III (inverse of dct2).
-  void dct3(double* x, Precision precision = Precision::kFp64) const;
+  void dct3(double* x) const;
 
  private:
   std::size_t n_;
@@ -56,12 +52,8 @@ class DctPlan {
   double s0_ = 0.0, sk_ = 0.0;      ///< orthonormal scales sqrt(1/N), sqrt(2/N)
   std::vector<double> tw_cos_;      ///< cos(-pi k / 2N)
   std::vector<double> tw_sin_;      ///< sin(-pi k / 2N)
-  std::vector<float> tw_cos_f_;     ///< fp32 mirror of tw_cos_ (kMixed)
-  std::vector<float> tw_sin_f_;     ///< fp32 mirror of tw_sin_ (kMixed)
   Matrix dense_;                    ///< dct2_matrix(n) (slow path)
   Matrix dense_t_;                  ///< its transpose: dct3 rows contiguous
-  std::vector<float> dense_f_;      ///< fp32 mirror of dense_ (kMixed)
-  std::vector<float> dense_t_f_;    ///< fp32 mirror of dense_t_ (kMixed)
   mutable std::vector<Complex> scratch_;
 };
 
@@ -85,10 +77,8 @@ std::vector<double> dct2_naive(const std::vector<double>& x);
 std::vector<double> dct3_naive(const std::vector<double>& x);
 
 /// Separable 2-D transforms on a row-major rows x cols buffer, in place.
-void dct2_2d(std::vector<double>& a, std::size_t rows, std::size_t cols,
-             Precision precision = Precision::kFp64);
-void dct3_2d(std::vector<double>& a, std::size_t rows, std::size_t cols,
-             Precision precision = Precision::kFp64);
+void dct2_2d(std::vector<double>& a, std::size_t rows, std::size_t cols);
+void dct3_2d(std::vector<double>& a, std::size_t rows, std::size_t cols);
 
 /// Batched separable 2-D transforms: `a` holds `batch` independent
 /// row-major rows x cols grids back to back (size batch * rows * cols).
@@ -96,8 +86,8 @@ void dct3_2d(std::vector<double>& a, std::size_t rows, std::size_t cols,
 /// the single-grid calls) and fan out over the SUBSPAR_THREADS pool, so
 /// results are bit-identical for any thread count.
 void dct2_2d_many(std::vector<double>& a, std::size_t rows, std::size_t cols,
-                  std::size_t batch, Precision precision = Precision::kFp64);
+                  std::size_t batch);
 void dct3_2d_many(std::vector<double>& a, std::size_t rows, std::size_t cols,
-                  std::size_t batch, Precision precision = Precision::kFp64);
+                  std::size_t batch);
 
 }  // namespace subspar

@@ -1,8 +1,8 @@
 // Tests for the runtime-dispatched kernel backend (linalg/backend.hpp):
 // registry/override semantics, cross-backend numerical parity, the
 // batched-vs-single bit-identity invariants every backend must preserve,
-// mixed-precision iterative refinement, and the golden quickstart pins
-// re-run under every backend the host supports.
+// and the golden quickstart pins re-run under every backend the host
+// supports.
 //
 // Parity contract (backend.hpp): the scalar backend is the bit-exact
 // reference; SIMD backends agree within a few ulp. Kernels that vectorize
@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "linalg/backend.hpp"
-#include "linalg/iterative.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/sparse.hpp"
 #include "subspar/subspar.hpp"
@@ -197,6 +196,19 @@ TEST(BackendRegistry, SetBackendSwitchesDispatch) {
     EXPECT_EQ(active_backend(), kind) << backend_name(kind);
     EXPECT_EQ(kernel_ops().kind, kind) << backend_name(kind);
   }
+}
+
+TEST(BackendRegistry, BackendIsNotDigestedIntoCacheKeys) {
+  // Every backend implements the same operator to solver tolerance, so a
+  // model extracted under one is valid under all: same cache tag.
+  const SubstrateStack stack = paper_stack(40.0);
+  const Layout layout = regular_grid_layout(8);
+  const auto solver = make_solver(SolverKind::kSurface, layout, stack);
+  BackendGuard guard;
+  set_backend(BackendKind::kScalar);
+  const std::string tag_scalar = solver->cache_tag();
+  set_backend(supported_backends().back());
+  EXPECT_EQ(solver->cache_tag(), tag_scalar);
 }
 
 // ---------------------------------------------------------------------------
@@ -371,48 +383,18 @@ TEST(BackendParity, PanelKernelBitIdenticalToPackedPath) {
   }
 }
 
-TEST(BackendParity, MixedGemmAgreesAcrossBackendsAndTracksFp64) {
-  BackendGuard guard;
-  Rng rng(4242);
-  const std::size_t m = 37, k = 53, n = 29;
-  const Matrix a = random_matrix(m, k, rng);
-  const Matrix at = random_matrix(k, m, rng);
-  const Matrix b = random_matrix(k, n, rng);
-  const double scale = static_cast<double>(k);
-
-  set_backend(BackendKind::kScalar);
-  const Matrix r_nn = matmul_mixed(a, b);
-  const Matrix r_tn = matmul_tn_mixed(at, b);
-  for (BackendKind kind : supported_backends()) {
-    set_backend(kind);
-    const std::string tag = backend_name(kind);
-    expect_close(r_nn, matmul_mixed(a, b), scale, "matmul_mixed " + tag);
-    expect_close(r_tn, matmul_tn_mixed(at, b), scale, "matmul_tn_mixed " + tag);
-  }
-
-  // Sanity on the mode itself: fp32 input rounding only, no fp32 summation
-  // error — the mixed product stays within ~k * eps_f32 of the fp64 one.
-  const Matrix fp64 = matmul(a, b);
-  const double tol = static_cast<double>(k) * 1.2e-7 * 4.0;
-  for (std::size_t i = 0; i < m; ++i)
-    for (std::size_t j = 0; j < n; ++j)
-      EXPECT_NEAR(r_nn(i, j), fp64(i, j), tol) << "(" << i << ", " << j << ")";
-}
-
 TEST(BackendParity, SpmmMatchesScalarOnFuzzedMatrices) {
   BackendGuard guard;
   Rng rng(993);
   for (int trial = 0; trial < 3; ++trial) {
     const std::size_t n = 40 + 37 * static_cast<std::size_t>(trial);
     const SparseMatrix a = random_spd(n, 4, rng);
-    const SparseMirrorF32 mirror(a);
     const std::size_t kRhs = 1 + static_cast<std::size_t>(rng.uniform(0.0, 9.0));
     const Matrix x = random_matrix(n, kRhs, rng);
 
     set_backend(BackendKind::kScalar);
     const Matrix r_many = a.apply_many(x);
     const Matrix r_t_many = a.apply_t_many(x);
-    const Matrix r_mirror = mirror.apply_many(x);
 
     for (BackendKind kind : supported_backends()) {
       set_backend(kind);
@@ -421,13 +403,11 @@ TEST(BackendParity, SpmmMatchesScalarOnFuzzedMatrices) {
       const double scale = 8.0;  // per-row accumulation: a handful of O(1) entries
       expect_close(r_many, a.apply_many(x), scale, "apply_many " + tag);
       expect_close(r_t_many, a.apply_t_many(x), scale, "apply_t_many " + tag);
-      expect_close(r_mirror, mirror.apply_many(x), scale, "mirror apply_many " + tag);
 #if defined(__x86_64__) || defined(__i386__)
       // On x86 the contraction policy makes the tailed kernels bit-exact
       // against scalar, not merely close (see src/CMakeLists.txt).
       expect_bitwise(r_many, a.apply_many(x), "apply_many bitwise " + tag);
       expect_bitwise(r_t_many, a.apply_t_many(x), "apply_t_many bitwise " + tag);
-      expect_bitwise(r_mirror, mirror.apply_many(x), "mirror bitwise " + tag);
 #endif
     }
   }
@@ -475,14 +455,6 @@ TEST(BackendParity, DctRoundTripUnderEveryBackend) {
       dct3_2d(back, n, n);
       for (std::size_t i = 0; i < back.size(); ++i)
         EXPECT_NEAR(back[i], base[i], 1e-12) << "round-trip " << tag << " i=" << i;
-
-      // Mixed mode reads fp32 twiddle/dense tables with fp64 accumulation:
-      // the round-trip error is fp32-table-sized, far from fp32-result-sized.
-      std::vector<double> mixed = base;
-      dct2_2d(mixed, n, n, Precision::kMixed);
-      dct3_2d(mixed, n, n, Precision::kMixed);
-      for (std::size_t i = 0; i < mixed.size(); ++i)
-        EXPECT_NEAR(mixed[i], base[i], 1e-5) << "mixed round-trip " << tag << " i=" << i;
     }
   }
 }
@@ -525,79 +497,6 @@ TEST(BackendParity, BatchedEqualsSingleBitwiseUnderEveryBackend) {
         ASSERT_EQ(batched[g * n * n + i], one[i]) << "dct2_2d_many " << tag;
     }
   }
-}
-
-// ---------------------------------------------------------------------------
-// Mixed-precision refinement
-// ---------------------------------------------------------------------------
-
-TEST(MixedRefinement, ConvergesToTheSameResidualBoundAsFp64) {
-  Rng rng(2718);
-  const std::size_t n = 240, kRhs = 5;
-  const SparseMatrix a = random_spd(n, 3, rng);
-  const SparseMirrorF32 mirror(a);
-  const Matrix b = random_matrix(n, kRhs, rng);
-  IterOptions opt;
-  opt.rel_tol = 1e-10;
-  opt.max_iterations = 2000;
-  const LinearOpMany a_hi = [&](const Matrix& v) { return a.apply_many(v); };
-  const LinearOpMany a_lo = [&](const Matrix& v) { return mirror.apply_many(v); };
-
-  BlockIterStats fp64_stats;
-  const Matrix x_fp64 = pcg_block(a_hi, b, opt, &fp64_stats);
-  ASSERT_TRUE(fp64_stats.converged);
-
-  BlockIterStats mixed_stats;
-  const Matrix x_mixed = pcg_block_refined(a_hi, a_lo, b, opt, &mixed_stats);
-  ASSERT_TRUE(mixed_stats.converged);
-  EXPECT_LE(mixed_stats.max_relative_residual, opt.rel_tol);
-
-  // The refinement contract: the TRUE fp64 residual meets the same bound a
-  // pure-fp64 run satisfies, despite every inner sweep using fp32 storage.
-  const Matrix r = a.apply_many(x_mixed) - b;
-  for (std::size_t j = 0; j < kRhs; ++j) {
-    double rn = 0.0, bn = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      rn += r(i, j) * r(i, j);
-      bn += b(i, j) * b(i, j);
-    }
-    EXPECT_LE(std::sqrt(rn), opt.rel_tol * std::sqrt(bn)) << "column " << j;
-  }
-}
-
-TEST(MixedRefinement, PrecisionIsKeyedButBackendIsNot) {
-  const SubstrateStack stack = paper_stack(40.0);
-  const Layout layout = regular_grid_layout(8);
-  const auto fp64 = make_solver(SolverKind::kSurface, layout, stack);
-  SolverConfig mixed_cfg;
-  mixed_cfg.precision = Precision::kMixed;
-  const auto mixed = make_solver(SolverKind::kSurface, layout, stack, mixed_cfg);
-
-  // kMixed legitimately changes result bits, so it must split cache keys.
-  EXPECT_NE(fp64->cache_tag(), mixed->cache_tag());
-  const ExtractionRequest request{.method = SparsifyMethod::kLowRank};
-  EXPECT_NE(model_cache_key(layout, stack, request, fp64->cache_tag()),
-            model_cache_key(layout, stack, request, mixed->cache_tag()));
-
-  // The SIMD backend must NOT: same operator to solver tolerance, same key.
-  BackendGuard guard;
-  set_backend(BackendKind::kScalar);
-  const std::string tag_scalar = fp64->cache_tag();
-  set_backend(supported_backends().back());
-  EXPECT_EQ(fp64->cache_tag(), tag_scalar);
-
-  // And the mixed solver still solves: same operator to solver tolerance.
-  Rng rng(99);
-  Vector v(layout.n_contacts());
-  for (auto& x : v) x = rng.uniform(-1.0, 1.0);
-  const Vector y_fp64 = fp64->solve(v);
-  const Vector y_mixed = mixed->solve(v);
-  double dn = 0.0, yn = 0.0;
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    dn += (y_fp64[i] - y_mixed[i]) * (y_fp64[i] - y_mixed[i]);
-    yn += y_fp64[i] * y_fp64[i];
-  }
-  EXPECT_LE(std::sqrt(dn), 1e-6 * std::sqrt(yn));
 }
 
 // ---------------------------------------------------------------------------

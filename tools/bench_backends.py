@@ -6,9 +6,8 @@ The committed baselines under bench/baselines/ record one entry per backend
 (the fp64-scalar reference, plus the best SIMD backend the host dispatches
 to), each a verbatim google-benchmark dump — context block included, so the
 `subspar_backend` / `subspar_threads` provenance the bench main() adds is
-preserved per entry. The mixed-precision rows (BM_MatmulMixed, BM_SpMMMixed)
-run inside every entry, so fp64-scalar vs fp64-SIMD vs mixed comparisons all
-come from the same file.
+preserved per entry, so fp64-scalar vs fp64-SIMD comparisons come from the
+same file.
 
 Typical regeneration (matches README "Performance"):
 
