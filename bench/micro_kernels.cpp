@@ -269,16 +269,15 @@ void BM_BatchedSolve(benchmark::State& state) {
 }
 BENCHMARK(BM_BatchedSolve)->Arg(4)->Arg(16);
 
-// ---- sparse engine: batched SpMM / level-scheduled IC(0) / FD solve
+// ---- sparse engine: batched SpMM / IC(0) sweeps / FD solve
 
 // The Table 2.1 FD system's grid Laplacian (64x64x20, layered stack with a
 // 1000x conductivity contrast), shared by the sparse micro-benches.
 struct SparseFixture {
   GridSpec spec;
   SparseMatrix a;
-  Ic0Preconditioner ic0_rcm;
-  SparseFixture() : spec(make_spec()), a(assemble_grid_laplacian(spec)),
-                    ic0_rcm(a, rcm_ordering(a)) {}
+  Ic0Preconditioner ic0;
+  SparseFixture() : spec(make_spec()), a(assemble_grid_laplacian(spec)), ic0(a) {}
   static GridSpec make_spec() {
     GridSpec s;
     s.nx = s.ny = 64;
@@ -340,21 +339,21 @@ void BM_Ic0SolvePerColumn(benchmark::State& state) {
   for (auto _ : state) {
     Matrix x(b.rows(), k);
     for (std::size_t j = 0; j < k; ++j)
-      x.set_col(j, ic0_solve(fx.ic0_rcm.factor(), b.col(j)));
+      x.set_col(j, ic0_solve(fx.ic0.factor(), b.col(j)));
     benchmark::DoNotOptimize(x(0, 0));
   }
   state.SetItemsProcessed(static_cast<long>(state.iterations()) * static_cast<long>(k));
 }
 BENCHMARK(BM_Ic0SolvePerColumn)->Arg(16);
 
-// Level-scheduled forward/backward substitution on the RCM-permuted IC(0)
-// factor, all right-hand sides per level sweep.
+// Forward/backward substitution on the natural-order IC(0) factor, all
+// right-hand sides of a row swept together.
 void BM_Ic0SolveMany(benchmark::State& state) {
   static SparseFixture fx;
   const auto k = static_cast<std::size_t>(state.range(0));
   const Matrix b = random_rhs(fx.a.rows(), k, 14);
   for (auto _ : state) {
-    const Matrix x = ic0_solve_many(fx.ic0_rcm.factor(), b);
+    const Matrix x = ic0_solve_many(fx.ic0.factor(), b);
     benchmark::DoNotOptimize(x(0, 0));
   }
   state.SetItemsProcessed(static_cast<long>(state.iterations()) * static_cast<long>(k));
@@ -362,7 +361,7 @@ void BM_Ic0SolveMany(benchmark::State& state) {
 BENCHMARK(BM_Ic0SolveMany)->Arg(4)->Arg(16);
 
 // The whole-path numbers behind the sparse engine: k FD solves through the
-// ICCG branch (level-scheduled RCM IC(0)), per-column vs one batched
+// ICCG branch (natural-order IC(0) sweeps), per-column vs one batched
 // solve_many (shared block-Krylov space + multi-RHS sparse kernels).
 struct FdSolveFixture {
   Layout layout = regular_grid_layout(8, 2.0);

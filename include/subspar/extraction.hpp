@@ -8,9 +8,6 @@
 // per (solver, layout); issue as many requests as needed — or put a
 // ModelCache (subspar/cache.hpp) in front so identical requests cost an
 // apply instead of a re-extraction.
-//
-// The seed-era free function `extract_sparsified` (subspar/model.hpp) now
-// delegates here and is deprecated.
 #pragma once
 
 #include <cstddef>
@@ -22,6 +19,7 @@
 
 #include "core/extractor.hpp"
 #include "geometry/quadtree.hpp"
+#include "lowrank/row_basis.hpp"
 #include "substrate/solver.hpp"
 #include "subspar/status.hpp"
 #include "util/cancel.hpp"
@@ -32,9 +30,8 @@ namespace subspar {
 /// wall-clock seconds. Phases run on the calling thread.
 using ProgressCallback = std::function<void(const std::string& phase, double seconds)>;
 
-/// Everything that determines an extraction, in one value. Field semantics
-/// match the deprecated ExtractorOptions; `progress` is observational only
-/// and excluded from cache keys.
+/// Everything that determines an extraction, in one value. `progress` and
+/// `cancel` are observational only and excluded from cache keys.
 struct ExtractionRequest {
   /// Which sparsification algorithm builds the change of basis Q.
   SparsifyMethod method = SparsifyMethod::kLowRank;
@@ -147,7 +144,8 @@ class Extractor {
   Extractor(const SubstrateSolver& solver, const Layout& layout, int max_level = -1);
 
   /// Borrows an existing quadtree (no rebuild); it must outlive the
-  /// Extractor. This is the constructor the deprecated facade delegates to.
+  /// Extractor. Callers that time or reuse the tree build themselves (the
+  /// table benches, perfbench's traced run) construct through this one.
   Extractor(const SubstrateSolver& solver, const QuadTree& tree);
 
   /// Runs the pipeline: validate -> method dispatch -> optional threshold.

@@ -1,9 +1,6 @@
 // Public header: the SparsifiedModel (Q, G_w and its apply operators) and
-// its serialization (save_model / load_model, ModelIoError).
-//
-// Also re-exports the seed-era free-function facade `extract_sparsified`,
-// which is deprecated in favor of the Extractor pipeline in
-// subspar/extraction.hpp and kept for one release as a thin wrapper.
+// its serialization (save_model / load_model, ModelIoError). Models are
+// built by the Extractor pipeline in subspar/extraction.hpp.
 #pragma once
 
 #include "core/extractor.hpp"

@@ -34,14 +34,6 @@ enum class SolverKind {
 /// Union of per-kind construction options. Only the member matching the
 /// requested kind is consulted: `surface` for kSurface, `fd` for kFd and
 /// kMultigrid (whose preconditioner choice is overridden to multigrid).
-///
-/// The FD options carry the batched sparse-engine knobs: `fd.reorder`
-/// selects the symmetric ordering the IC(0) factor is computed in
-/// (SparseReorder::kRcm by default), and `fd.mg_smoother` /
-/// `fd.mg_smoothing_sweeps` configure the batched multigrid V-cycle's
-/// Gauss-Seidel smoother (lexicographic or red-black). All of them are
-/// digested into the solver's cache_tag(), so differently tuned solvers
-/// never share ModelCache entries.
 struct SolverConfig {
   SurfaceSolverOptions surface{};
   FdSolverOptions fd{};

@@ -2,7 +2,6 @@
 
 #include <sstream>
 
-#include "subspar/extraction.hpp"
 #include "util/check.hpp"
 #include "util/parallel.hpp"
 
@@ -36,21 +35,6 @@ std::string SparsifiedModel::summary() const {
       << solve_reduction_factor() << "x), sparsity(G_w) = " << gw_sparsity_factor()
       << ", sparsity(Q) = " << q_sparsity_factor() << ", build = " << seconds_ << " s";
   return out.str();
-}
-
-SparsifiedModel extract_sparsified(const SubstrateSolver& solver, const QuadTree& tree,
-                                   const ExtractorOptions& options) {
-  // Deprecated wrapper: same fields, same pipeline, same numbers — and the
-  // seed-era tolerance for thresholds <= 1 (a silent no-op then, a
-  // validation reject through the strict ExtractionRequest path now).
-  const double threshold =
-      options.threshold_sparsity_multiple > 1.0 ? options.threshold_sparsity_multiple : 0.0;
-  return Extractor(solver, tree)
-      .extract({.method = options.method,
-                .moment_order = options.moment_order,
-                .lowrank = options.lowrank,
-                .threshold_sparsity_multiple = threshold})
-      .model;
 }
 
 }  // namespace subspar

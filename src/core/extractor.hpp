@@ -1,44 +1,19 @@
-// The SparsifiedModel type and the seed-era extraction facade.
-//
-// DEPRECATED (facade only): `extract_sparsified` + `ExtractorOptions` are
-// superseded by the public pipeline in include/subspar/extraction.hpp
-// (ExtractionRequest -> Extractor -> ExtractionResult), which adds option
-// validation, per-phase timing reports, progress callbacks, and cache
-// integration. The free function is kept for one release as a thin wrapper
-// over `Extractor` and produces bit-identical models; new code should
-// include "subspar/subspar.hpp" and use the Extractor. SparsifiedModel
-// itself is not deprecated — it is the model type of both APIs.
+// The SparsifiedModel type and the SparsifyMethod choice. The pipeline
+// that builds a model is in include/subspar/extraction.hpp
+// (ExtractionRequest -> Extractor -> ExtractionResult).
 #pragma once
 
-#include <memory>
 #include <string>
 
-#include "geometry/quadtree.hpp"
+#include "linalg/matrix.hpp"
 #include "linalg/sparse.hpp"
-#include "lowrank/row_basis.hpp"
-#include "substrate/solver.hpp"
+#include "linalg/vector.hpp"
 
 namespace subspar {
 
 enum class SparsifyMethod {
   kWavelet,  ///< Chapter 3: geometric vanishing-moment basis
   kLowRank,  ///< Chapter 4: operator-adapted row-basis construction
-};
-
-/// Knobs for `extract_sparsified`. Defaults give the unthresholded low-rank
-/// model of Table 4.1; set `threshold_sparsity_multiple` (the paper's
-/// Tables 4.2/3.1 use 6) for the thresholded trade-off.
-/// Deprecated with the facade: ExtractionRequest carries the same fields.
-struct ExtractorOptions {
-  /// Which sparsification algorithm builds the change of basis Q.
-  SparsifyMethod method = SparsifyMethod::kLowRank;
-  /// Wavelet moment order (Chapter 3; the paper uses 2).
-  int moment_order = 2;
-  /// Low-rank options (Chapter 4).
-  LowRankOptions lowrank;
-  /// If > 1, additionally threshold G_w to ~this multiple of its
-  /// conservative sparsity factor (the paper uses 6; §3.7 / §4.6).
-  double threshold_sparsity_multiple = 0.0;
 };
 
 /// A sparsified substrate coupling model: the orthogonal change of basis Q
@@ -81,11 +56,5 @@ class SparsifiedModel {
   long solves_;
   double seconds_;
 };
-
-/// Runs the selected sparsification pipeline end to end.
-/// Deprecated: delegates to Extractor (subspar/extraction.hpp); use that
-/// directly for validation, phase timings, progress, and caching.
-SparsifiedModel extract_sparsified(const SubstrateSolver& solver, const QuadTree& tree,
-                                   const ExtractorOptions& options = {});
 
 }  // namespace subspar

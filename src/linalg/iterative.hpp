@@ -28,10 +28,9 @@ using LinearOpMany = std::function<Matrix(const Matrix&)>;
 /// Implementations must be symmetric positive definite as operators (PCG
 /// requirement), deterministic, and bit-identical for any SUBSPAR_THREADS;
 /// apply_many on a 1-column matrix is the single-vector action. Concrete
-/// engines: Ic0Preconditioner (linalg/ic0.hpp, level-scheduled triangular
-/// solves on an RCM-permuted factor), MultigridPreconditioner
-/// (substrate/multigrid.hpp, batched V-cycles), and the fast-Poisson and
-/// block-Jacobi wrappers inside the substrate solvers.
+/// engines: Ic0Preconditioner (linalg/ic0.hpp, batched triangular sweeps),
+/// MultigridPreconditioner (substrate/multigrid.hpp, batched V-cycles), and
+/// the fast-Poisson and block-Jacobi wrappers inside the substrate solvers.
 class Preconditioner {
  public:
   virtual ~Preconditioner() = default;

@@ -5,7 +5,6 @@
 #include <numeric>
 
 #include "linalg/backend.hpp"
-#include "linalg/reorder.hpp"
 #include "util/check.hpp"
 #include "util/parallel.hpp"
 
@@ -155,19 +154,6 @@ Matrix SparseMatrix::apply_t_many(const Matrix& x) const {
     }
   });
   return y;
-}
-
-SparseMatrix SparseMatrix::permuted(const std::vector<std::size_t>& p) const {
-  SUBSPAR_REQUIRE(rows_ == cols_ && p.size() == rows_);
-  const std::vector<std::size_t> inv = invert_permutation(p);  // validates p
-  // Row i of the result is row p[i] of *this with columns relabelled by
-  // inv; the CSR constructor re-sorts each row, keeping the sorted-column
-  // invariant.
-  SparseBuilder b(rows_, rows_);
-  for (std::size_t i = 0; i < rows_; ++i)
-    for (std::size_t e = rowptr_[p[i]]; e < rowptr_[p[i] + 1]; ++e)
-      b.add(i, inv[colidx_[e]], val_[e]);
-  return SparseMatrix(b);
 }
 
 Matrix SparseMatrix::to_dense() const {

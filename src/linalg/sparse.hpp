@@ -73,13 +73,6 @@ class SparseMatrix {
   /// order), bit-identical to k apply_t() calls for any thread count.
   Matrix apply_t_many(const Matrix& x) const;
 
-  /// Symmetric permutation B = P A P' with B(i, j) = A(p[i], p[j]): entry
-  /// (i, j) of the result is entry (p[i], p[j]) of this matrix. `p` must be
-  /// a permutation of [0, rows) and the matrix square. Solving with B:
-  /// x = P' B^{-1} P b (gather rows by p, solve, scatter back) — see
-  /// Ic0Preconditioner for the canonical use with an RCM ordering.
-  SparseMatrix permuted(const std::vector<std::size_t>& p) const;
-
   Matrix to_dense() const;
   SparseMatrix transposed() const;
 

@@ -10,7 +10,6 @@
 #include "linalg/cholesky.hpp"
 #include "linalg/ic0.hpp"
 #include "linalg/iterative.hpp"
-#include "linalg/reorder.hpp"
 #include "linalg/robust.hpp"
 #include "linalg/sparse.hpp"
 #include "substrate/multigrid.hpp"
@@ -39,14 +38,14 @@ class FastPoissonPreconditioner final : public Preconditioner {
 /// factorization over the full grid).
 constexpr std::size_t kMaxDirectDim = 4096;
 
-/// Tighter-preconditioner stage of the fallback chain: an RCM-reordered
-/// IC(0) factor built lazily on first use, so healthy runs under the cheap
-/// fast-Poisson / multigrid preconditioners never pay for it.
+/// Tighter-preconditioner stage of the fallback chain: an IC(0) factor built
+/// lazily on first use, so healthy runs under the cheap fast-Poisson /
+/// multigrid preconditioners never pay for it.
 class LazyIc0Preconditioner final : public Preconditioner {
  public:
   explicit LazyIc0Preconditioner(const SparseMatrix& a) : a_(&a) {}
   void apply_many(const Matrix& r, Matrix& z) const override {
-    if (!inner_) inner_ = std::make_unique<Ic0Preconditioner>(*a_, rcm_ordering(*a_));
+    if (!inner_) inner_ = std::make_unique<Ic0Preconditioner>(*a_);
     inner_->apply_many(r, z);
   }
 
@@ -78,7 +77,7 @@ struct FdSolver::Impl {
 
   SparseMatrix a;  // grid-of-resistors Laplacian
   // The sparse engine's preconditioner branch (fast-Poisson / batched
-  // multigrid / RCM-reordered level-scheduled IC(0)); null = plain CG.
+  // multigrid / IC(0)); null = plain CG.
   // The multigrid hierarchy outlives its non-owning preconditioner wrapper.
   std::unique_ptr<GridMultigrid> multigrid;
   std::unique_ptr<Preconditioner> precond;
@@ -320,18 +319,12 @@ FdSolver::FdSolver(const Layout& layout, const SubstrateStack& stack, FdSolverOp
     case FdPreconditioner::kNone:
       break;
     case FdPreconditioner::kIncompleteCholesky:
-      im.precond = std::make_unique<Ic0Preconditioner>(
-          im.a, options.reorder == SparseReorder::kRcm ? rcm_ordering(im.a)
-                                                       : std::vector<std::size_t>{});
+      im.precond = std::make_unique<Ic0Preconditioner>(im.a);
       break;
-    case FdPreconditioner::kMultigrid: {
-      MultigridOptions mg_options;
-      mg_options.smoother = options.mg_smoother;
-      mg_options.smoothing_sweeps = options.mg_smoothing_sweeps;
-      im.multigrid = std::make_unique<GridMultigrid>(std::move(spec), mg_options);
+    case FdPreconditioner::kMultigrid:
+      im.multigrid = std::make_unique<GridMultigrid>(std::move(spec));
       im.precond = std::make_unique<MultigridPreconditioner>(*im.multigrid);
       break;
-    }
     default: {
       double p = 1.0;
       if (options.precond == FdPreconditioner::kFastNeumann) p = 0.0;
@@ -363,14 +356,9 @@ std::size_t FdSolver::n_contacts() const { return impl_->layout.n_contacts(); }
 std::string FdSolver::cache_tag() const {
   const FdSolverOptions& o = impl_->options;
   char buf[160];
-  // The sparse-engine knobs (reorder, multigrid smoother/sweeps) cannot
-  // change the operator G beyond solver tolerance, but they select
-  // different preconditioners — digest them so perf A/B runs get distinct
-  // cache entries too. The SIMD backend is deliberately NOT part of the tag.
-  std::snprintf(buf, sizeof buf, "|%a|%d|%a|%zu|%d|%d|%d|%d", o.grid_h,
-                static_cast<int>(o.precond), o.rel_tol, o.max_iterations,
-                o.ghost_half_spacing ? 1 : 0, static_cast<int>(o.reorder),
-                static_cast<int>(o.mg_smoother), o.mg_smoothing_sweeps);
+  // The SIMD backend is deliberately NOT part of the tag.
+  std::snprintf(buf, sizeof buf, "|%a|%d|%a|%zu|%d", o.grid_h, static_cast<int>(o.precond),
+                o.rel_tol, o.max_iterations, o.ghost_half_spacing ? 1 : 0);
   std::string tag = name() + buf;
   for (const SubstrateWell& w : o.wells) {
     std::snprintf(buf, sizeof buf, "|%a,%a,%a,%a,%a", w.x0, w.y0, w.width, w.height, w.depth);

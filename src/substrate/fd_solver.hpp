@@ -11,9 +11,9 @@
 
 #include <cstddef>
 #include <memory>
+#include <vector>
 
 #include "geometry/layout.hpp"
-#include "substrate/multigrid.hpp"
 #include "substrate/solver.hpp"
 #include "substrate/stack.hpp"
 
@@ -39,13 +39,6 @@ struct SubstrateWell {
   double depth = 0.0;
 };
 
-/// Symmetric sparse-matrix reordering applied before factoring (the IC(0)
-/// preconditioner branch of the batched sparse engine).
-enum class SparseReorder {
-  kNone,  ///< natural (grid-lexicographic) ordering
-  kRcm,   ///< reverse Cuthill-McKee: narrow band, wider solve level sets
-};
-
 struct FdSolverOptions {
   double grid_h = 2.0;  ///< node spacing; surface width / grid_h must be a power of two
   FdPreconditioner precond = FdPreconditioner::kFastAreaWeighted;
@@ -60,16 +53,6 @@ struct FdSolverOptions {
   /// preconditioners' exactness (they still work as approximations) and are
   /// invisible to the sparsifiers — exactly the black-box genericity claim.
   std::vector<SubstrateWell> wells{};
-  /// IC(0) branch: ordering the factor is computed in. RCM (the default)
-  /// keeps the preconditioner mathematically equivalent in quality while
-  /// making the level-scheduled triangular solves cache-friendly and
-  /// parallel; kNone factors in natural grid order.
-  SparseReorder reorder = SparseReorder::kRcm;
-  /// Multigrid branch: Gauss-Seidel sweep ordering of the batched V-cycle
-  /// smoother (kRedBlack parallelizes each half-sweep) and the number of
-  /// pre/post sweeps per level.
-  MultigridSmoother mg_smoother = MultigridSmoother::kGaussSeidel;
-  int mg_smoothing_sweeps = 1;
 };
 
 class FdSolver : public SubstrateSolver {
@@ -97,9 +80,8 @@ class FdSolver : public SubstrateSolver {
   Vector do_solve(const Vector& contact_voltages) const override;
   /// Batched solve: blocked PCG over column chunks, the operator applied
   /// as one row-partitioned SpMM and the preconditioner as one blockwise
-  /// Preconditioner::apply_many per iteration (level-scheduled IC(0) on
-  /// the RCM-permuted factor, batched multigrid V-cycles, or threaded
-  /// fast-Poisson solves). Each chunk's contact currents are read off its
+  /// Preconditioner::apply_many per iteration (IC(0) sweeps, batched
+  /// multigrid V-cycles, or threaded fast-Poisson solves). Each chunk's contact currents are read off its
   /// top-plane contact nodes as soon as it converges, so no full-batch
   /// volume matrix is kept. Throws SolverConvergenceError when the
   /// fallback chain cannot converge a chunk.

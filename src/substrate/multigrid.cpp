@@ -1,6 +1,5 @@
 #include "substrate/multigrid.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "linalg/cholesky.hpp"
@@ -76,6 +75,11 @@ SparseMatrix assemble_grid_laplacian(const GridSpec& s) {
 
 namespace {
 
+/// Hierarchy depth cap, and the grid size below which the coarsest level is
+/// solved by dense Cholesky.
+constexpr std::size_t kMaxLevels = 8;
+constexpr std::size_t kCoarsestMaxNodes = 600;
+
 // Halves the marked dimensions, aggregating coefficients so that net
 // conductances are preserved in the multigrid sense: plane conductivities
 // average, per-node contact couplings sum over the merged footprint and
@@ -117,17 +121,13 @@ GridSpec coarsen(const GridSpec& f, bool cx, bool cy, bool cz) {
 
 }  // namespace
 
-GridMultigrid::GridMultigrid(GridSpec fine, MultigridOptions options) : options_(options) {
-  // Zero sweeps would leave M^{-1} = P Ac^{-1} R: rank-deficient, so PCG's
-  // rho = z'r can vanish with r != 0 and the recurrence divides by zero.
-  SUBSPAR_REQUIRE(options_.smoothing_sweeps >= 1 && options_.max_levels >= 1);
+GridMultigrid::GridMultigrid(GridSpec fine) {
   Level lvl;
   lvl.spec = std::move(fine);
   lvl.a = assemble_grid_laplacian(lvl.spec);
   levels_.push_back(std::move(lvl));
 
-  while (static_cast<int>(levels_.size()) < options_.max_levels &&
-         levels_.back().spec.size() > options_.coarsest_max_nodes) {
+  while (levels_.size() < kMaxLevels && levels_.back().spec.size() > kCoarsestMaxNodes) {
     Level& prev = levels_.back();
     const GridSpec& s = prev.spec;
     const bool cx = s.nx % 2 == 0 && s.nx >= 4;
@@ -155,13 +155,6 @@ GridMultigrid::GridMultigrid(GridSpec fine, MultigridOptions options) : options_
       }
       SUBSPAR_ENSURE(found && l.a.value(l.diag[i]) > 0.0);
     }
-    // Red-black parity classes: the 7-point stencil couples only nodes of
-    // opposite (x + y + z) parity, so each class smooths in parallel.
-    const GridSpec& sp = l.spec;
-    for (std::size_t z = 0; z < sp.nz; ++z)
-      for (std::size_t y = 0; y < sp.ny; ++y)
-        for (std::size_t x = 0; x < sp.nx; ++x)
-          ((x + y + z) % 2 == 0 ? l.red : l.black).push_back(sp.index(x, y, z));
   }
   coarse_solver_ = std::make_unique<Cholesky>(levels_.back().a.to_dense());
 }
@@ -170,25 +163,17 @@ GridMultigrid::~GridMultigrid() = default;
 
 const SparseMatrix& GridMultigrid::fine_matrix() const { return levels_.front().a; }
 
-namespace {
-/// Rows per parallel red-black smoothing task (fixed chunking keeps the
-/// row -> task map independent of the pool size).
-constexpr std::size_t kSmoothRowChunk = 256;
-}  // namespace
-
-// One Gauss-Seidel half-sweep on all k columns: each relaxed row updates
-// its contiguous k-column slice in place. Lexicographic mode relaxes rows
-// serially (ascending forward, descending backward); red-black mode
-// relaxes one parity class at a time with the rows of a class fanned out
-// across the pool — rows of a class never couple, so the result is
-// schedule-independent. Per-column arithmetic is identical in batched and
-// single-vector use.
+// One Gauss-Seidel half-sweep on all k columns: rows relax serially
+// (ascending forward, descending backward), each updating its contiguous
+// k-column slice in place. Per-column arithmetic is identical in batched
+// and single-vector use.
 void GridMultigrid::smooth_many(const Level& lvl, Matrix& x, const Matrix& b,
                                 bool forward) const {
   const SparseMatrix& a = lvl.a;
   const std::size_t n = a.rows();
   const std::size_t k = x.cols();
-  auto relax_row = [&](std::size_t i) {
+  for (std::size_t t = 0; t < n; ++t) {
+    const std::size_t i = forward ? t : n - 1 - t;
     const double* brow = b.row_ptr(i);
     double* xi = x.row_ptr(i);
     const double d = a.value(lvl.diag[i]);
@@ -205,21 +190,6 @@ void GridMultigrid::smooth_many(const Level& lvl, Matrix& x, const Matrix& b,
       }
       xi[j] = s / d;
     }
-  };
-  if (options_.smoother == MultigridSmoother::kGaussSeidel) {
-    for (std::size_t t = 0; t < n; ++t) relax_row(forward ? t : n - 1 - t);
-    return;
-  }
-  // Symmetric red-black: red then black forward, black then red backward.
-  const std::vector<std::size_t>* phases[2] = {&lvl.red, &lvl.black};
-  if (!forward) std::swap(phases[0], phases[1]);
-  for (const auto* phase : phases) {
-    const std::size_t chunks = (phase->size() + kSmoothRowChunk - 1) / kSmoothRowChunk;
-    parallel_for(chunks, [&](std::size_t t) {
-      const std::size_t i0 = t * kSmoothRowChunk;
-      const std::size_t i1 = std::min(phase->size(), i0 + kSmoothRowChunk);
-      for (std::size_t q = i0; q < i1; ++q) relax_row((*phase)[q]);
-    });
   }
 }
 
@@ -284,13 +254,13 @@ void GridMultigrid::cycle_many(std::size_t level, Matrix& x, const Matrix& b) co
     return;
   }
   const Level& lvl = levels_[level];
-  for (int s = 0; s < options_.smoothing_sweeps; ++s) smooth_many(lvl, x, b, /*forward=*/true);
+  smooth_many(lvl, x, b, /*forward=*/true);
   const Matrix r = b - lvl.a.apply_many(x);
   const Matrix rc = restrict_to_coarse(level, r);
   Matrix xc(rc.rows(), rc.cols());
   cycle_many(level + 1, xc, rc);
   prolong_add_to_fine(level, x, xc);
-  for (int s = 0; s < options_.smoothing_sweeps; ++s) smooth_many(lvl, x, b, /*forward=*/false);
+  smooth_many(lvl, x, b, /*forward=*/false);
 }
 
 Matrix GridMultigrid::vcycle_many(const Matrix& b) const {

@@ -8,10 +8,10 @@
 // profiles and the contact/backplane couplings re-sampled per level — the
 // "dealing with layer boundaries in the coarse-grid representation" issue
 // the thesis calls out is handled by conductance-preserving aggregation.
-// Smoothing is symmetric Gauss-Seidel (lexicographic, or red-black for
-// parallel sweeps) and restriction is the transpose of piecewise-constant
-// prolongation (scaled), so one V-cycle is a symmetric positive operator
-// usable directly as a PCG preconditioner.
+// Smoothing is symmetric lexicographic Gauss-Seidel (one forward sweep
+// down, one backward sweep up) and restriction is the transpose of
+// piecewise-constant prolongation (scaled), so one V-cycle is a symmetric
+// positive operator usable directly as a PCG preconditioner.
 //
 // The engine entry point is vcycle_many: all k right-hand sides descend
 // the hierarchy together — one smoothing sweep, one restriction, one
@@ -54,22 +54,9 @@ struct GridSpec {
 /// exact-zero couplings are not stored.
 SparseMatrix assemble_grid_laplacian(const GridSpec& spec);
 
-/// Gauss-Seidel sweep ordering inside one smoothing pass.
-enum class MultigridSmoother {
-  kGaussSeidel,  ///< lexicographic symmetric GS: serial rows, columns batched
-  kRedBlack,     ///< red-black GS: each color's rows sweep in parallel
-};
-
-struct MultigridOptions {
-  int max_levels = 8;
-  std::size_t coarsest_max_nodes = 600;  ///< dense Cholesky below this
-  int smoothing_sweeps = 1;              ///< symmetric GS pre/post sweeps
-  MultigridSmoother smoother = MultigridSmoother::kGaussSeidel;
-};
-
 class GridMultigrid {
  public:
-  explicit GridMultigrid(GridSpec fine, MultigridOptions options = {});
+  explicit GridMultigrid(GridSpec fine);
   ~GridMultigrid();
 
   /// One V-cycle applied to b from a zero initial guess: the preconditioner
@@ -93,7 +80,6 @@ class GridMultigrid {
     GridSpec spec;
     SparseMatrix a;
     std::vector<std::size_t> diag;  // CSR index of the diagonal per row
-    std::vector<std::size_t> red, black;      // (x+y+z) parity classes
     bool cx = false, cy = false, cz = false;  // which dims the next level halves
   };
 
@@ -102,7 +88,6 @@ class GridMultigrid {
   void prolong_add_to_fine(std::size_t fine_level, Matrix& xf, const Matrix& xc) const;
   void cycle_many(std::size_t level, Matrix& x, const Matrix& b) const;
 
-  MultigridOptions options_;
   std::vector<Level> levels_;
   std::unique_ptr<class Cholesky> coarse_solver_;
 };

@@ -85,14 +85,6 @@ SparseMatrix WaveletPattern::mask(const Matrix& gw) const {
   return SparseMatrix(b);
 }
 
-std::size_t WaveletPattern::count_allowed() const {
-  const std::size_t n = basis_->n();
-  std::size_t count = 0;
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < n; ++j) count += allowed(i, j);
-  return count;
-}
-
 SparseMatrix threshold_to_nnz(const SparseMatrix& a, std::size_t target_nnz) {
   if (a.nnz() <= target_nnz) return a;
   std::vector<double> mags;

@@ -28,9 +28,6 @@ class WaveletPattern {
   /// n-solve path against which combine-solves extraction is validated).
   SparseMatrix mask(const Matrix& gw) const;
 
-  /// Number of allowed entries (the nnz of an exact-arithmetic G_ws).
-  std::size_t count_allowed() const;
-
  private:
   const TransformBasis* basis_;
 };

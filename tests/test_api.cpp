@@ -97,7 +97,7 @@ TEST(SolverRegistry, CustomRegistrationIsConstructibleByName) {
 TEST(ExtractionRequestValidation, RejectsBadOptions) {
   EXPECT_NO_THROW(validate(ExtractionRequest{}));
   EXPECT_THROW(validate({.moment_order = -1}), std::invalid_argument);
-  // (0, 1] thresholds were a silent no-op under the old facade; now loud.
+  // (0, 1] thresholds are rejected, not silently ignored.
   EXPECT_THROW(validate({.threshold_sparsity_multiple = 0.5}), std::invalid_argument);
   EXPECT_THROW(validate({.threshold_sparsity_multiple = 1.0}), std::invalid_argument);
   EXPECT_THROW(validate({.lowrank = {.sigma_rel_tol = 0.0}}), std::invalid_argument);
@@ -109,10 +109,6 @@ TEST(ExtractionRequestValidation, RejectsBadOptions) {
   const Extractor engine(*solver, layout);
   EXPECT_THROW(engine.extract({.moment_order = -3}), std::invalid_argument);
   EXPECT_EQ(solver->solve_count(), 0);  // rejected before any solve
-  // The deprecated facade keeps the seed-era tolerance: thresholds <= 1
-  // were a silent no-op there, not an error.
-  EXPECT_NO_THROW(
-      extract_sparsified(*solver, engine.tree(), {.threshold_sparsity_multiple = 0.5}));
 }
 
 TEST(ExtractionRequestValidation, MismatchedSolverAndLayoutRejected) {
@@ -123,24 +119,6 @@ TEST(ExtractionRequestValidation, MismatchedSolverAndLayoutRejected) {
 }
 
 // ---- Extractor pipeline ----------------------------------------------------
-
-TEST(ExtractorPipeline, MatchesDeprecatedFacadeBitExactly) {
-  const Layout layout = regular_grid_layout(8);
-  const SubstrateStack stack = paper_stack();
-  const auto solver = make_solver(SolverKind::kSurface, layout, stack);
-  const QuadTree tree(layout);
-  for (const SparsifyMethod method : {SparsifyMethod::kWavelet, SparsifyMethod::kLowRank}) {
-    const SparsifiedModel old_model =
-        extract_sparsified(*solver, tree, {.method = method, .threshold_sparsity_multiple = 4.0});
-    const ExtractionResult result = Extractor(*solver, layout).extract(
-        {.method = method, .threshold_sparsity_multiple = 4.0});
-    EXPECT_EQ(result.model.solves_used(), old_model.solves_used());
-    EXPECT_EQ(result.model.q().nnz(), old_model.q().nnz());
-    EXPECT_EQ(result.model.gw().nnz(), old_model.gw().nnz());
-    EXPECT_EQ((result.model.q().to_dense() - old_model.q().to_dense()).max_abs(), 0.0);
-    EXPECT_EQ((result.model.gw().to_dense() - old_model.gw().to_dense()).max_abs(), 0.0);
-  }
-}
 
 TEST(ExtractorPipeline, ReportCarriesPhasesAndMetrics) {
   const Layout layout = regular_grid_layout(8);
@@ -249,6 +227,10 @@ TEST(ModelCacheTest, DifferentRequestsAndSolversGetDifferentKeys) {
   EXPECT_EQ(fd_coarse->name(), fd_fine->name());
   EXPECT_NE(fd_coarse->cache_tag(), fd_fine->cache_tag());
   EXPECT_NE(fd_coarse->cache_tag(), fd_paper_ghost->cache_tag());
+  // ... and so does the preconditioner alone.
+  const auto fd_iccg = make_solver(SolverKind::kFd, layout, stack,
+                                   {.fd = {.precond = FdPreconditioner::kIncompleteCholesky}});
+  EXPECT_NE(fd_coarse->cache_tag(), fd_iccg->cache_tag());
   EXPECT_EQ(fd_coarse->cache_tag(),
             make_solver(SolverKind::kFd, layout, stack)->cache_tag());
   // Same content, fresh objects: equal keys (the hash is content-based).

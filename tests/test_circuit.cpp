@@ -7,13 +7,13 @@
 
 #include "circuit/netlist.hpp"
 #include "circuit/simulator.hpp"
-#include "core/extractor.hpp"
 #include "geometry/layout_gen.hpp"
 #include "linalg/cholesky.hpp"
 #include "linalg/eig_sym.hpp"
 #include "linalg/lanczos.hpp"
 #include "substrate/eigen_solver.hpp"
 #include "substrate/solver.hpp"
+#include "subspar/extraction.hpp"
 #include "util/rng.hpp"
 
 namespace subspar {
@@ -120,7 +120,7 @@ TEST(CircuitSim, SparsifiedCouplingMatchesDenseCoupling) {
   const SurfaceSolver solver(layout, paper_stack());
   const QuadTree tree(layout);
   const Matrix g = extract_dense(solver);
-  const SparsifiedModel model = extract_sparsified(solver, tree);
+  const SparsifiedModel model = Extractor(solver, tree).extract().model;
 
   auto build = [&](const std::function<Vector(const Vector&)>& coupling, Netlist& nl) {
     std::vector<NodeId> nodes;

@@ -1,6 +1,6 @@
-// Tests for the facade (core/extractor) and shared reporting: end-to-end
-// extraction with both methods, fast apply fidelity, thresholding option,
-// and the error-metric helpers.
+// Tests for the model (core/extractor, core/io) and shared reporting:
+// end-to-end extraction with both methods, fast apply fidelity,
+// thresholding option, and the error-metric helpers.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -14,6 +14,7 @@
 #include "geometry/layout_gen.hpp"
 #include "substrate/eigen_solver.hpp"
 #include "substrate/solver.hpp"
+#include "subspar/extraction.hpp"
 #include "util/rng.hpp"
 
 namespace subspar {
@@ -31,7 +32,7 @@ TEST(Extractor, LowRankModelAppliesAccurately) {
   CoreFixture f(regular_grid_layout(8));
   const Matrix g = extract_dense(f.solver);
   f.solver.reset_solve_count();
-  const SparsifiedModel model = extract_sparsified(f.solver, f.tree);
+  const SparsifiedModel model = Extractor(f.solver, f.tree).extract().model;
   Rng rng(1);
   Vector v(f.layout.n_contacts());
   for (auto& x : v) x = rng.normal();
@@ -44,7 +45,7 @@ TEST(Extractor, WaveletModelAppliesAccurately) {
   CoreFixture f(regular_grid_layout(8));
   const Matrix g = extract_dense(f.solver);
   const SparsifiedModel model =
-      extract_sparsified(f.solver, f.tree, {.method = SparsifyMethod::kWavelet});
+      Extractor(f.solver, f.tree).extract({.method = SparsifyMethod::kWavelet}).model;
   Rng rng(2);
   Vector v(f.layout.n_contacts());
   for (auto& x : v) x = rng.normal();
@@ -54,15 +55,15 @@ TEST(Extractor, WaveletModelAppliesAccurately) {
 
 TEST(Extractor, ThresholdOptionIncreasesSparsity) {
   CoreFixture f(regular_grid_layout(16));
-  const SparsifiedModel plain = extract_sparsified(f.solver, f.tree);
-  const SparsifiedModel thresholded =
-      extract_sparsified(f.solver, f.tree, {.threshold_sparsity_multiple = 6.0});
+  const Extractor engine(f.solver, f.tree);
+  const SparsifiedModel plain = engine.extract().model;
+  const SparsifiedModel thresholded = engine.extract({.threshold_sparsity_multiple = 6.0}).model;
   EXPECT_GT(thresholded.gw_sparsity_factor(), 5.0 * plain.gw_sparsity_factor());
 }
 
 TEST(Extractor, SummaryMentionsKeyMetrics) {
   CoreFixture f(regular_grid_layout(8));
-  const SparsifiedModel model = extract_sparsified(f.solver, f.tree);
+  const SparsifiedModel model = Extractor(f.solver, f.tree).extract().model;
   const std::string s = model.summary();
   EXPECT_NE(s.find("solves"), std::string::npos);
   EXPECT_NE(s.find("sparsity"), std::string::npos);
@@ -70,10 +71,11 @@ TEST(Extractor, SummaryMentionsKeyMetrics) {
 
 TEST(Extractor, MomentOrderRespectedForWavelet) {
   CoreFixture f(regular_grid_layout(8));
-  const SparsifiedModel p0 = extract_sparsified(
-      f.solver, f.tree, {.method = SparsifyMethod::kWavelet, .moment_order = 0});
-  const SparsifiedModel p2 = extract_sparsified(
-      f.solver, f.tree, {.method = SparsifyMethod::kWavelet, .moment_order = 2});
+  const Extractor engine(f.solver, f.tree);
+  const SparsifiedModel p0 =
+      engine.extract({.method = SparsifyMethod::kWavelet, .moment_order = 0}).model;
+  const SparsifiedModel p2 =
+      engine.extract({.method = SparsifyMethod::kWavelet, .moment_order = 2}).model;
   // Fewer constraints -> fewer leftover V vectors -> different structure;
   // both remain valid orthogonal transforms of the same size.
   EXPECT_EQ(p0.q().rows(), p2.q().rows());
@@ -83,7 +85,7 @@ TEST(Extractor, MomentOrderRespectedForWavelet) {
 TEST(Report, ReconstructColumnMatchesDenseProduct) {
   CoreFixture f(regular_grid_layout(4));
   const Matrix g = extract_dense(f.solver);
-  const SparsifiedModel model = extract_sparsified(f.solver, f.tree);
+  const SparsifiedModel model = Extractor(f.solver, f.tree).extract().model;
   const Vector col = reconstruct_column(model.q(), model.gw(), 3);
   Vector e(f.layout.n_contacts());
   e[3] = 1.0;
@@ -103,7 +105,7 @@ TEST(Report, DirectThresholdKeepsFractionSemantics) {
 TEST(Report, ErrorStatsCountEntries) {
   CoreFixture f(regular_grid_layout(4));
   const Matrix g = extract_dense(f.solver);
-  const SparsifiedModel model = extract_sparsified(f.solver, f.tree);
+  const SparsifiedModel model = Extractor(f.solver, f.tree).extract().model;
   const ErrorStats full = reconstruction_error(model.q(), model.gw(), g);
   EXPECT_EQ(full.entries, f.layout.n_contacts() * f.layout.n_contacts());
   const std::vector<std::size_t> cols{0, 5};
@@ -116,7 +118,7 @@ TEST(Report, ErrorStatsCountEntries) {
 TEST(ModelIo, SaveLoadRoundTripsExactly) {
   CoreFixture f(regular_grid_layout(8));
   const SparsifiedModel model =
-      extract_sparsified(f.solver, f.tree, {.threshold_sparsity_multiple = 4.0});
+      Extractor(f.solver, f.tree).extract({.threshold_sparsity_multiple = 4.0}).model;
   const std::string path = "/tmp/subspar_model_test.txt";
   save_model(path, model);
   const SparsifiedModel loaded = load_model(path);
@@ -170,7 +172,7 @@ void expect_load_error(const std::string& path, const std::string& needle) {
 TEST(ModelIo, LoadRejectsTruncatedFilesNamingTheSection) {
   using namespace io_fixtures;
   CoreFixture f(regular_grid_layout(4));
-  const SparsifiedModel model = extract_sparsified(f.solver, f.tree);
+  const SparsifiedModel model = Extractor(f.solver, f.tree).extract().model;
   const std::string path = "/tmp/subspar_model_trunc.txt";
   save_model(path, model);
   const std::string v2 = read_file(path);
@@ -223,7 +225,7 @@ TEST(ModelIo, LoadRejectsTruncatedFilesNamingTheSection) {
 TEST(ModelIo, LoadRejectsBitFlippedFields) {
   using namespace io_fixtures;
   CoreFixture f(regular_grid_layout(4));
-  const SparsifiedModel model = extract_sparsified(f.solver, f.tree);
+  const SparsifiedModel model = Extractor(f.solver, f.tree).extract().model;
   const std::string path = "/tmp/subspar_model_flip.txt";
   save_model(path, model);
   const std::string v2 = read_file(path);
@@ -313,7 +315,8 @@ class MethodSweep : public ::testing::TestWithParam<SparsifyMethod> {};
 
 TEST_P(MethodSweep, ModelsAreSymmetricOperators) {
   CoreFixture f(irregular_layout(8, 0.6, 5));
-  const SparsifiedModel model = extract_sparsified(f.solver, f.tree, {.method = GetParam()});
+  const SparsifiedModel model =
+      Extractor(f.solver, f.tree).extract({.method = GetParam()}).model;
   Rng rng(7);
   Vector a(f.layout.n_contacts()), b(f.layout.n_contacts());
   for (auto& x : a) x = rng.normal();

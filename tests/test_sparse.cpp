@@ -1,17 +1,14 @@
-// Tests for CSR sparse matrices, the batched SpMM engine, RCM reordering,
-// and the (level-scheduled) IC(0) preconditioner.
+// Tests for CSR sparse matrices, the batched SpMM engine, and the IC(0)
+// preconditioner.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
-#include <numeric>
 #include <stdexcept>
-#include <vector>
 
 #include "linalg/cholesky.hpp"
 #include "linalg/ic0.hpp"
 #include "linalg/iterative.hpp"
-#include "linalg/reorder.hpp"
 #include "linalg/sparse.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
@@ -325,107 +322,6 @@ TEST(SpMM, ZeroColumnAndEmptyInputs) {
   EXPECT_EQ(y.rows(), a.rows());
 }
 
-// ------------------------------------------------- symmetric permutation
-
-TEST(Permute, PermutedMatchesDensePAPt) {
-  Rng rng(350);
-  const std::size_t n = 12;
-  SparseBuilder b(n, n);
-  for (int t = 0; t < 40; ++t) {
-    const std::size_t i = rng.below(n), j = rng.below(n);
-    b.add(i, j, rng.normal());
-    b.add(j, i, rng.normal());  // keep the pattern symmetric
-  }
-  const SparseMatrix a(b);
-  std::vector<std::size_t> p(n);
-  std::iota(p.begin(), p.end(), std::size_t{0});
-  for (std::size_t i = n; i-- > 1;) std::swap(p[i], p[rng.below(i + 1)]);
-  const Matrix d = a.to_dense();
-  const Matrix pd = a.permuted(p).to_dense();
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < n; ++j)
-      ASSERT_EQ(pd(i, j), d(p[i], p[j]));
-}
-
-TEST(Permute, InversePermutationRoundTrips) {
-  Rng rng(351);
-  const SparseMatrix a = grid2d_laplacian(5, 4);
-  std::vector<std::size_t> p(a.rows());
-  std::iota(p.begin(), p.end(), std::size_t{0});
-  for (std::size_t i = p.size(); i-- > 1;) std::swap(p[i], p[rng.below(i + 1)]);
-  const SparseMatrix round = a.permuted(p).permuted(invert_permutation(p));
-  EXPECT_EQ((round.to_dense() - a.to_dense()).max_abs(), 0.0);
-}
-
-// ------------------------------------------------- RCM ordering
-
-TEST(Rcm, ReducesBandwidthOfShuffledGrid) {
-  // Scramble a banded grid Laplacian; RCM must recover a narrow band.
-  Rng rng(360);
-  const SparseMatrix a = grid2d_laplacian(16, 16);
-  std::vector<std::size_t> shuffle(a.rows());
-  std::iota(shuffle.begin(), shuffle.end(), std::size_t{0});
-  for (std::size_t i = shuffle.size(); i-- > 1;) std::swap(shuffle[i], shuffle[rng.below(i + 1)]);
-  const SparseMatrix scrambled = a.permuted(shuffle);
-  const std::vector<std::size_t> p = rcm_ordering(scrambled);
-  const SparseMatrix ordered = scrambled.permuted(p);
-  EXPECT_LT(bandwidth(ordered), bandwidth(scrambled) / 4);
-  EXPECT_LE(bandwidth(ordered), 40u);  // grid RCM band ~ 2 * nx
-}
-
-TEST(Rcm, IsAValidPermutationOnDisconnectedComponents) {
-  // Two disjoint chains plus isolated vertices: every index appears once.
-  SparseBuilder b(11, 11);
-  for (std::size_t i = 0; i + 1 < 4; ++i) {
-    b.add(i, i + 1, -1.0);
-    b.add(i + 1, i, -1.0);
-  }
-  for (std::size_t i = 5; i + 1 < 9; ++i) {
-    b.add(i, i + 1, -1.0);
-    b.add(i + 1, i, -1.0);
-  }
-  for (std::size_t i = 0; i < 11; ++i) b.add(i, i, 3.0);
-  const SparseMatrix a(b);
-  const std::vector<std::size_t> p = rcm_ordering(a);
-  std::vector<char> seen(11, 0);
-  for (const std::size_t v : p) {
-    ASSERT_LT(v, 11u);
-    ASSERT_FALSE(seen[v]);
-    seen[v] = 1;
-  }
-}
-
-TEST(Rcm, PermutedSystemSolvesLikeOriginal) {
-  // P A P' equivalence: solving the reordered system and scattering back
-  // reproduces the original solution (dense Cholesky on both sides).
-  Rng rng(361);
-  const SparseMatrix a = grid2d_laplacian(6, 5);
-  const std::vector<std::size_t> p = rcm_ordering(a);
-  Vector b(a.rows());
-  for (auto& v : b) v = rng.normal();
-  const Vector x = Cholesky(a.to_dense()).solve(b);
-  Vector bp(b.size());
-  for (std::size_t i = 0; i < b.size(); ++i) bp[i] = b[p[i]];
-  const Vector xp = Cholesky(a.permuted(p).to_dense()).solve(bp);
-  Vector back(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) back[p[i]] = xp[i];
-  EXPECT_LT(norm2(back - x), 1e-10 * norm2(x));
-}
-
-TEST(Rcm, PreservesSpectrumQuantitatively) {
-  // A similarity transform by a permutation cannot change eigenvalues;
-  // check via the two cheap invariants trace and log-det.
-  const SparseMatrix a = grid2d_laplacian(5, 5);
-  const SparseMatrix pa = a.permuted(rcm_ordering(a));
-  double tra = 0.0, trp = 0.0;
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    tra += a.to_dense()(i, i);
-    trp += pa.to_dense()(i, i);
-  }
-  EXPECT_NEAR(tra, trp, 1e-12);
-  EXPECT_NEAR(Cholesky(a.to_dense()).log_det(), Cholesky(pa.to_dense()).log_det(), 1e-9);
-}
-
 // ------------------------------------------------- guards (empty inputs)
 
 TEST(Sparse, FromDenseEmptyAndAllDroppedInputs) {
@@ -439,9 +335,9 @@ TEST(Sparse, FromDenseEmptyAndAllDroppedInputs) {
   EXPECT_DOUBLE_EQ(SparseMatrix::from_dense(Matrix()).sparsity_factor(), 0.0);
 }
 
-// ------------------------------------------------- level-scheduled IC(0)
+// ------------------------------------------------- batched IC(0) sweeps
 
-TEST(Ic0Levels, SolveManyBitIdenticalToSingleColumns) {
+TEST(Ic0Sweeps, SolveManyBitIdenticalToSingleColumns) {
   const SparseMatrix a = grid2d_laplacian(12, 9);
   const Ic0Factor f = ic0_factor(a);
   Rng rng(370);
@@ -455,40 +351,21 @@ TEST(Ic0Levels, SolveManyBitIdenticalToSingleColumns) {
   }
 }
 
-TEST(Ic0Levels, MatchesSerialReferenceSolve) {
-  // The level-scheduled sweeps must compute the same triangular solves as
-  // the serial single-vector ic0_solve (to rounding).
+TEST(Ic0Sweeps, MatchesSerialReferenceSolve) {
+  // The batched sweeps on the prepared factor must compute the same
+  // triangular solves as the single-vector ic0_solve on L (to rounding).
   const SparseMatrix a = grid2d_laplacian(10, 10);
   const SparseMatrix la = ic0(a);
   const Ic0Factor f = ic0_factor(a);
   Rng rng(371);
   Vector b(a.rows());
   for (auto& v : b) v = rng.normal();
-  const Vector serial = ic0_solve(la, b);
-  const Vector scheduled = ic0_solve(f, b);
-  EXPECT_LT(norm2(serial - scheduled), 1e-12 * norm2(serial));
+  const Vector reference = ic0_solve(la, b);
+  const Vector swept = ic0_solve(f, b);
+  EXPECT_LT(norm2(reference - swept), 1e-12 * norm2(reference));
 }
 
-TEST(Ic0Levels, ScheduleRespectsDependencies) {
-  // Every off-diagonal entry of a row of L must reference a row of an
-  // earlier forward level (and of L' an earlier backward level).
-  const SparseMatrix a = grid2d_laplacian(8, 7);
-  const Ic0Factor f = ic0_factor(a);
-  std::vector<std::size_t> flevel(f.rows()), blevel(f.rows());
-  for (std::size_t l = 0; l + 1 < f.fwd_ptr.size(); ++l)
-    for (std::size_t q = f.fwd_ptr[l]; q < f.fwd_ptr[l + 1]; ++q) flevel[f.fwd_rows[q]] = l;
-  for (std::size_t l = 0; l + 1 < f.bwd_ptr.size(); ++l)
-    for (std::size_t q = f.bwd_ptr[l]; q < f.bwd_ptr[l + 1]; ++q) blevel[f.bwd_rows[q]] = l;
-  for (std::size_t i = 0; i < f.rows(); ++i) {
-    for (std::size_t e = f.l.row_begin(i); e + 1 < f.l.row_end(i); ++e)
-      EXPECT_LT(flevel[f.l.col_index(e)], flevel[i]);
-    for (std::size_t e = f.lt.row_begin(i) + 1; e < f.lt.row_end(i); ++e)
-      EXPECT_LT(blevel[f.lt.col_index(e)], blevel[i]);
-  }
-  EXPECT_GT(f.forward_levels(), 1u);
-}
-
-TEST(Ic0Levels, SolveManyBitIdenticalAcrossThreadCounts) {
+TEST(Ic0Sweeps, SolveManyBitIdenticalAcrossThreadCounts) {
   const SparseMatrix a = grid2d_laplacian(16, 16);
   const Ic0Factor f = ic0_factor(a);
   Rng rng(372);
@@ -503,59 +380,48 @@ TEST(Ic0Levels, SolveManyBitIdenticalAcrossThreadCounts) {
   EXPECT_EQ((x1 - x4).max_abs(), 0.0);
 }
 
-TEST(Ic0Preconditioner, RcmReorderedPreconditionsAsWellAsNatural) {
-  // z = P' (L L')^{-1} P r on the RCM-permuted factor must precondition
-  // PCG essentially as well as the natural-order factor (same algorithm,
-  // different elimination order), and both must beat plain CG.
+TEST(Ic0Preconditioner, PreconditionsBetterThanPlainCg) {
+  // The natural-order factor behind the Preconditioner interface must cut
+  // PCG's iteration count below plain CG's.
   const SparseMatrix a = grid2d_laplacian(20, 20);
   Rng rng(373);
   Vector b(a.rows());
   for (auto& v : b) v = rng.normal();
   const IterOptions opt{.rel_tol = 1e-10, .max_iterations = 2000};
   const LinearOp op = [&](const Vector& v) { return a.apply(v); };
-  IterStats plain, natural, rcm;
+  IterStats plain, natural;
   pcg(op, b, opt, &plain);
   const Ic0Preconditioner nat(a);
-  const Ic0Preconditioner ord(a, rcm_ordering(a));
-  const Vector xn =
-      pcg(op, b, opt, &natural, [&](const Vector& r) { return nat.apply(r); });
-  const Vector xo = pcg(op, b, opt, &rcm, [&](const Vector& r) { return ord.apply(r); });
+  pcg(op, b, opt, &natural, [&](const Vector& r) { return nat.apply(r); });
   EXPECT_TRUE(natural.converged);
-  EXPECT_TRUE(rcm.converged);
   EXPECT_LT(natural.iterations, plain.iterations);
-  EXPECT_LT(rcm.iterations, plain.iterations);
-  EXPECT_LT(static_cast<double>(rcm.iterations), 1.5 * static_cast<double>(natural.iterations));
-  EXPECT_LT(norm2(xn - xo), 1e-7 * norm2(xn));
 }
 
 TEST(Ic0Preconditioner, ApplyManyMatchesApplyColumns) {
-  // The Preconditioner output contract, natural and RCM-permuted: apply_many
-  // overwrites every entry of the caller's (NaN-prefilled) block, each
-  // column equals the single-vector apply bit for bit, and the block is
-  // bit-identical at 1 and 4 threads.
+  // The Preconditioner output contract: apply_many overwrites every entry of
+  // the caller's (NaN-prefilled) block, each column equals the single-vector
+  // apply bit for bit, and the block is bit-identical at 1 and 4 threads.
   const SparseMatrix a = grid2d_laplacian(9, 11);
   Rng rng(374);
   Matrix r(a.rows(), 4);
   for (std::size_t i = 0; i < r.rows(); ++i)
     for (std::size_t j = 0; j < r.cols(); ++j) r(i, j) = rng.normal();
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  for (const bool reordered : {false, true}) {
-    const Ic0Preconditioner m(a, reordered ? rcm_ordering(a) : std::vector<std::size_t>{});
-    Matrix z(r.rows(), r.cols(), nan), z4(r.rows(), r.cols(), nan);
-    m.apply_many(r, z);
-    set_thread_count(4);
-    m.apply_many(r, z4);
-    set_thread_count(1);
-    for (std::size_t j = 0; j < r.cols(); ++j) {
-      const Vector zj = m.apply(r.col(j));
-      for (std::size_t i = 0; i < r.rows(); ++i) {
-        ASSERT_EQ(z(i, j), zj[i]) << "reordered " << reordered;
-        ASSERT_EQ(z4(i, j), zj[i]) << "reordered " << reordered;
-      }
+  const Ic0Preconditioner m(a);
+  Matrix z(r.rows(), r.cols(), nan), z4(r.rows(), r.cols(), nan);
+  m.apply_many(r, z);
+  set_thread_count(4);
+  m.apply_many(r, z4);
+  set_thread_count(1);
+  for (std::size_t j = 0; j < r.cols(); ++j) {
+    const Vector zj = m.apply(r.col(j));
+    for (std::size_t i = 0; i < r.rows(); ++i) {
+      ASSERT_EQ(z(i, j), zj[i]) << i << "," << j;
+      ASSERT_EQ(z4(i, j), zj[i]) << i << "," << j;
     }
-    Matrix wrong(r.rows(), r.cols() + 1);
-    EXPECT_THROW(m.apply_many(r, wrong), std::invalid_argument);
   }
+  Matrix wrong(r.rows(), r.cols() + 1);
+  EXPECT_THROW(m.apply_many(r, wrong), std::invalid_argument);
 }
 
 TEST(Sparse, RowIterationMatchesCoordinates) {

@@ -556,29 +556,21 @@ TEST(Multigrid, PreconditionsFdSolver) {
 
 TEST(Multigrid, VcycleManyBitIdenticalToSingleColumns) {
   // The batched V-cycle's engine contract: column j of vcycle_many equals
-  // vcycle of that column alone, bit for bit, for both smoothers.
-  for (const MultigridSmoother sm :
-       {MultigridSmoother::kGaussSeidel, MultigridSmoother::kRedBlack}) {
-    MultigridOptions opt;
-    opt.smoother = sm;
-    const GridMultigrid mg(small_mg_spec(), opt);
-    Rng rng(25);
-    Matrix b(mg.fine_matrix().rows(), 5);
-    for (std::size_t i = 0; i < b.rows(); ++i)
-      for (std::size_t j = 0; j < b.cols(); ++j) b(i, j) = rng.normal();
-    const Matrix x = mg.vcycle_many(b);
-    for (std::size_t j = 0; j < b.cols(); ++j) {
-      const Vector xj = mg.vcycle(b.col(j));
-      for (std::size_t i = 0; i < b.rows(); ++i)
-        ASSERT_EQ(x(i, j), xj[i]) << "smoother " << static_cast<int>(sm) << " col " << j;
-    }
+  // vcycle of that column alone, bit for bit.
+  const GridMultigrid mg(small_mg_spec());
+  Rng rng(25);
+  Matrix b(mg.fine_matrix().rows(), 5);
+  for (std::size_t i = 0; i < b.rows(); ++i)
+    for (std::size_t j = 0; j < b.cols(); ++j) b(i, j) = rng.normal();
+  const Matrix x = mg.vcycle_many(b);
+  for (std::size_t j = 0; j < b.cols(); ++j) {
+    const Vector xj = mg.vcycle(b.col(j));
+    for (std::size_t i = 0; i < b.rows(); ++i) ASSERT_EQ(x(i, j), xj[i]) << "col " << j;
   }
 }
 
 TEST(Multigrid, VcycleManyBitIdenticalAcrossThreadCounts) {
-  MultigridOptions opt;
-  opt.smoother = MultigridSmoother::kRedBlack;  // the parallel smoother
-  const GridMultigrid mg(small_mg_spec(), opt);
+  const GridMultigrid mg(small_mg_spec());
   Rng rng(26);
   Matrix b(mg.fine_matrix().rows(), 4);
   for (std::size_t i = 0; i < b.rows(); ++i)
@@ -591,30 +583,11 @@ TEST(Multigrid, VcycleManyBitIdenticalAcrossThreadCounts) {
   EXPECT_EQ((x1 - x4).max_abs(), 0.0);
 }
 
-TEST(Multigrid, RedBlackVcycleIsSymmetricAndContracts) {
-  // RB-then-BR post-smoothing keeps the V-cycle a symmetric operator (PCG
-  // requirement), and the red-black cycle still contracts the residual.
-  MultigridOptions opt;
-  opt.smoother = MultigridSmoother::kRedBlack;
-  const GridMultigrid mg(small_mg_spec(), opt);
-  Rng rng(27);
-  Vector x(mg.fine_matrix().rows()), y(x.size());
-  for (auto& v : x) v = rng.normal();
-  for (auto& v : y) v = rng.normal();
-  EXPECT_NEAR(dot(mg.vcycle(x), y), dot(x, mg.vcycle(y)), 1e-8 * norm2(x) * norm2(y));
-  Vector b(mg.fine_matrix().rows());
-  for (auto& v : b) v = rng.normal();
-  const Vector sol = mg.solve(b, 6);
-  EXPECT_LT(norm2(b - mg.fine_matrix().apply(sol)), 0.2 * norm2(b));
-}
-
 TEST(Multigrid, MultigridPreconditionerWrapsVcycleMany) {
   // The Preconditioner output contract: every entry of the caller's
   // NaN-prefilled block is overwritten with vcycle_many's, each column
   // equals the single-vector apply, and 1 and 4 threads agree bit for bit.
-  MultigridOptions opt;
-  opt.smoother = MultigridSmoother::kRedBlack;  // the parallel smoother
-  const GridMultigrid mg(small_mg_spec(), opt);
+  const GridMultigrid mg(small_mg_spec());
   const MultigridPreconditioner pre(mg);
   Rng rng(28);
   Matrix r(mg.fine_matrix().rows(), 3);
@@ -637,55 +610,6 @@ TEST(Multigrid, MultigridPreconditionerWrapsVcycleMany) {
   }
   Matrix wrong(r.rows() + 1, r.cols());
   EXPECT_THROW(pre.apply_many(r, wrong), std::invalid_argument);
-}
-
-// ------------------------------------------------- sparse-engine FD knobs
-
-TEST(FdSolver, RcmAndNaturalIc0AgreeToTolerance) {
-  const Layout l = regular_grid_layout(4);
-  const SubstrateStack st = fd_stack(Backplane::kGrounded);
-  FdSolverOptions rcm{.grid_h = 2.0, .precond = FdPreconditioner::kIncompleteCholesky};
-  FdSolverOptions natural = rcm;
-  natural.reorder = SparseReorder::kNone;
-  const FdSolver a(l, st, rcm), b(l, st, natural);
-  Rng rng(29);
-  Vector v(l.n_contacts());
-  for (auto& x : v) x = rng.normal();
-  const Vector ia = a.solve(v), ib = b.solve(v);
-  EXPECT_LT(norm2(ia - ib), 1e-4 * norm2(ia));
-  // Orderings change the IC(0) factor, not its quality class.
-  EXPECT_LT(a.avg_iterations(), 2.0 * b.avg_iterations() + 8.0);
-}
-
-TEST(FdSolver, RedBlackMultigridSolvesLikeLexicographic) {
-  const Layout l = regular_grid_layout(4);
-  const SubstrateStack st = fd_stack(Backplane::kGrounded);
-  FdSolverOptions lex{.grid_h = 2.0, .precond = FdPreconditioner::kMultigrid};
-  FdSolverOptions rb = lex;
-  rb.mg_smoother = MultigridSmoother::kRedBlack;
-  const FdSolver a(l, st, lex), b(l, st, rb);
-  Rng rng(30);
-  Matrix v(l.n_contacts(), 3);
-  for (std::size_t i = 0; i < v.rows(); ++i)
-    for (std::size_t j = 0; j < v.cols(); ++j) v(i, j) = rng.normal();
-  const Matrix ia = a.solve_many(v), ib = b.solve_many(v);
-  EXPECT_LT((ia - ib).max_abs(), 1e-4 * ia.max_abs());
-}
-
-TEST(FdSolver, CacheTagDigestsEngineKnobs) {
-  const Layout l = regular_grid_layout(4);
-  const SubstrateStack st = fd_stack(Backplane::kGrounded);
-  FdSolverOptions base{.grid_h = 2.0, .precond = FdPreconditioner::kIncompleteCholesky};
-  FdSolverOptions natural = base;
-  natural.reorder = SparseReorder::kNone;
-  FdSolverOptions rb{.grid_h = 2.0, .precond = FdPreconditioner::kMultigrid};
-  FdSolverOptions rb2 = rb;
-  rb2.mg_smoother = MultigridSmoother::kRedBlack;
-  FdSolverOptions sweeps = rb;
-  sweeps.mg_smoothing_sweeps = 2;
-  EXPECT_NE(FdSolver(l, st, base).cache_tag(), FdSolver(l, st, natural).cache_tag());
-  EXPECT_NE(FdSolver(l, st, rb).cache_tag(), FdSolver(l, st, rb2).cache_tag());
-  EXPECT_NE(FdSolver(l, st, rb).cache_tag(), FdSolver(l, st, sweeps).cache_tag());
 }
 
 TEST(FdSolver, ImpossibleIterationBudgetDegradesGracefully) {
