@@ -39,24 +39,6 @@ void BM_Dct2d(benchmark::State& state) {
 }
 BENCHMARK(BM_Dct2d)->Arg(64)->Arg(128);
 
-// Batched 2-D DCT: `range` independent 64x64 grids per call, threaded over
-// the SUBSPAR_THREADS pool.
-void BM_Dct2dMany(benchmark::State& state) {
-  const std::size_t n = 64;
-  const auto batch = static_cast<std::size_t>(state.range(0));
-  Rng rng(2);
-  std::vector<double> a(batch * n * n);
-  for (auto& v : a) v = rng.normal();
-  for (auto _ : state) {
-    auto b = a;
-    dct2_2d_many(b, n, n, batch);
-    benchmark::DoNotOptimize(b);
-  }
-  state.SetItemsProcessed(static_cast<long>(state.iterations()) *
-                          static_cast<long>(batch * n * n));
-}
-BENCHMARK(BM_Dct2dMany)->Arg(4)->Arg(16);
-
 // ---- dense kernel layer: blocked matmul / gram / tall SVD
 
 Matrix random_dense(std::size_t m, std::size_t n, std::uint64_t seed) {
@@ -251,8 +233,8 @@ void BM_SurfaceSolve(benchmark::State& state) {
 }
 BENCHMARK(BM_SurfaceSolve);
 
-// k right-hand sides through one solve_many call (blocked PCG + batched
-// DCT applies) on the BM_SurfaceSolve layout. Compare k * BM_SurfaceSolve
+// k right-hand sides through one solve_many call (blocked PCG, operator
+// columns fanned over the pool) on the BM_SurfaceSolve layout. Compare k * BM_SurfaceSolve
 // wall-clock against one BM_BatchedSolve/k iteration.
 void BM_BatchedSolve(benchmark::State& state) {
   static SolveFixtureState fx;

@@ -24,27 +24,39 @@ Cholesky::Cholesky(const Matrix& a) : l_(a.rows(), a.cols()) {
 }
 
 Vector Cholesky::solve(const Vector& b) const {
-  const std::size_t n = l_.rows();
-  SUBSPAR_REQUIRE(b.size() == n);
-  Vector y(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    double s = b[i];
-    for (std::size_t k = 0; k < i; ++k) s -= l_(i, k) * y[k];
-    y[i] = s / l_(i, i);
-  }
-  Vector x(n);
-  for (std::size_t ii = n; ii-- > 0;) {
-    double s = y[ii];
-    for (std::size_t k = ii + 1; k < n; ++k) s -= l_(k, ii) * x[k];
-    x[ii] = s / l_(ii, ii);
-  }
+  SUBSPAR_REQUIRE(b.size() == l_.rows());
+  Vector x(b.size());
+  solve_block(b.data(), x.data(), 1);
   return x;
 }
 
 Matrix Cholesky::solve(const Matrix& b) const {
+  SUBSPAR_REQUIRE(b.rows() == l_.rows());
   Matrix x(b.rows(), b.cols());
-  for (std::size_t j = 0; j < b.cols(); ++j) x.set_col(j, solve(b.col(j)));
+  solve_block(b.row_ptr(0), x.row_ptr(0), b.cols());
   return x;
+}
+
+void Cholesky::solve_block(const double* b, double* x, std::size_t k) const {
+  const std::size_t n = l_.rows();
+  // Forward: L y = b over ascending rows, y into x. Row i of b is read
+  // before row i of x is written, so x may equal b.
+  for (std::size_t i = 0; i < n; ++i) {
+    const double* li = l_.row_ptr(i);
+    for (std::size_t j = 0; j < k; ++j) {
+      double s = b[i * k + j];
+      for (std::size_t m = 0; m < i; ++m) s -= li[m] * x[m * k + j];
+      x[i * k + j] = s / li[i];
+    }
+  }
+  // Backward: L' x = y over descending rows, in place.
+  for (std::size_t i = n; i-- > 0;) {
+    for (std::size_t j = 0; j < k; ++j) {
+      double s = x[i * k + j];
+      for (std::size_t m = i + 1; m < n; ++m) s -= l_(m, i) * x[m * k + j];
+      x[i * k + j] = s / l_(i, i);
+    }
+  }
 }
 
 double Cholesky::log_det() const {

@@ -1,6 +1,6 @@
 // Dense row-major matrix with the BLAS-2/3 kernels used throughout subspar.
 // All factorizations live in their own headers (cholesky.hpp, qr.hpp,
-// svd.hpp, eig_sym.hpp, lu.hpp); this type is deliberately plain data plus
+// svd.hpp, eig_sym.hpp); this type is deliberately plain data plus
 // arithmetic.
 #pragma once
 

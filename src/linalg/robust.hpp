@@ -14,7 +14,7 @@
 //               columns, the last one with the tighter preconditioner when
 //               the caller provides one (e.g. FdSolver swaps its fast-Poisson
 //               preconditioner for IC(0));
-//   direct      a dense Cholesky/LU direct solve of the remaining columns
+//   direct      a dense Cholesky direct solve of the remaining columns
 //               (caller-provided, typically size-gated), verified like any
 //               other attempt;
 //   failure     SolverConvergenceError naming the columns and residuals —

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "linalg/cholesky.hpp"
@@ -36,6 +37,35 @@ void accumulate_diag(SolverDiagnostics& d, const RobustSolveReport& r) {
   if (!r.clean) d.worst_residual = std::max(d.worst_residual, r.worst_residual);
 }
 
+/// Contacts per block-Jacobi task: a fixed split, so the tasks do not
+/// depend on the thread count (nor, since contacts are independent, do the
+/// results).
+constexpr std::size_t kContactsPerTask = 64;
+
+/// Block-Jacobi over contacts (SurfaceSolverOptions::contact_block_precond).
+/// A contact's panels are one contiguous row block of the residual, solved
+/// straight into the same rows of z by that contact's Cholesky factor.
+class ContactBlockPreconditioner final : public Preconditioner {
+ public:
+  ContactBlockPreconditioner(std::vector<std::size_t> contact_begin,
+                             std::vector<Cholesky> factors)
+      : begin_(std::move(contact_begin)), factors_(std::move(factors)) {}
+
+  void apply_many(const Matrix& r, Matrix& z) const override {
+    SUBSPAR_REQUIRE(z.rows() == r.rows() && z.cols() == r.cols() && &z != &r);
+    const std::size_t n = factors_.size(), k = r.cols();
+    parallel_for((n + kContactsPerTask - 1) / kContactsPerTask, [&](std::size_t t) {
+      const std::size_t end = std::min(n, (t + 1) * kContactsPerTask);
+      for (std::size_t c = t * kContactsPerTask; c < end; ++c)
+        factors_[c].solve_block(r.row_ptr(begin_[c]), z.row_ptr(begin_[c]), k);
+    });
+  }
+
+ private:
+  std::vector<std::size_t> begin_;  // offsets of each contact's panel rows
+  std::vector<Cholesky> factors_;
+};
+
 // Panel-averaging factor for mode m over M panels:
 // mean over a panel of cos(m pi x / a) relative to its center value.
 double sinc_factor(std::size_t m, std::size_t panels) {
@@ -62,7 +92,9 @@ struct SurfaceSolver::Impl {
   std::vector<double> lambda_tilde;       // (m, n) -> scaled eigenvalue, row-major m*N+n
   std::vector<std::size_t> panels;        // flattened contact-panel grid indices
   std::vector<std::size_t> contact_begin; // offsets into `panels`, size n+1
-  std::vector<Cholesky> block_factors;    // per-contact preconditioner blocks
+  std::vector<std::size_t> panel_rows;    // sorted grid rows (y) holding a contact panel
+  std::vector<std::size_t> panel_cols;    // sorted grid columns (x) holding one
+  std::unique_ptr<const Preconditioner> block_precond;  // null without contact_block_precond
   mutable std::unique_ptr<Cholesky> direct_factor;  // lazy dense fallback factor
   mutable long total_iterations = 0;
   mutable long stat_solves = 0;
@@ -90,44 +122,38 @@ struct SurfaceSolver::Impl {
     return Vector(std::move(a));
   }
 
-  // Restricted operator on all columns at once: pad each column into its
-  // own panel grid, run the batched 2-D DCTs (threaded over columns),
-  // scale by the operator eigenvalues, transform back, restrict. Identical
-  // per-column arithmetic to the single-vector path for any thread count.
+  // Restricted operator, one task per column on the executing thread's
+  // panel grid: scatter, forward 2-D DCT, eigenvalue scale, inverse 2-D
+  // DCT, gather. A grid row without a contact panel is zero, so its forward
+  // row transform would be zero too and is skipped; a grid column without
+  // one is never gathered, so its inverse column transform is skipped.
+  // Every transform that runs is the per-line DctPlan call of dct2_2d /
+  // dct3_2d, so each column keeps apply_grid's bits at any thread count.
   Matrix apply_restricted_many(const Matrix& x) const {
     const std::size_t mx = layout.panels_x(), ny = layout.panels_y();
-    const std::size_t gsz = grid_size();
-    const std::size_t k = x.cols();
-    std::vector<double> grids(k * gsz, 0.0);
-    for (std::size_t j = 0; j < k; ++j) {
-      double* g = grids.data() + j * gsz;
-      for (std::size_t idx = 0; idx < panels.size(); ++idx) g[panels[idx]] = x(idx, j);
-    }
-    dct2_2d_many(grids, ny, mx, k);
-    parallel_for(k, [&](std::size_t j) { scale_modes(grids.data() + j * gsz); });
-    dct3_2d_many(grids, ny, mx, k);
-    Matrix out(panels.size(), k);
-    for (std::size_t j = 0; j < k; ++j) {
-      const double* g = grids.data() + j * gsz;
-      for (std::size_t idx = 0; idx < panels.size(); ++idx) out(idx, j) = g[panels[idx]];
-    }
-    return out;
-  }
-
-  // Block-Jacobi preconditioner applied per column (threaded).
-  Matrix precondition_many(const Matrix& r) const {
-    const std::size_t k = r.cols();
-    Matrix z(r.rows(), k);
-    parallel_for(k, [&](std::size_t j) {
-      for (std::size_t c = 0; c + 1 < contact_begin.size(); ++c) {
-        const std::size_t b = contact_begin[c], e = contact_begin[c + 1];
-        Vector rc(e - b);
-        for (std::size_t idx = b; idx < e; ++idx) rc[idx - b] = r(idx, j);
-        const Vector zc = block_factors[c].solve(rc);
-        for (std::size_t idx = b; idx < e; ++idx) z(idx, j) = zc[idx - b];
-      }
+    const std::size_t p = panels.size();
+    Matrix out(p, x.cols());
+    parallel_for(x.cols(), [&](std::size_t j) {
+      thread_local std::vector<double> grid, line;
+      grid.assign(mx * ny, 0.0);
+      line.resize(ny);
+      double* g = grid.data();
+      const DctPlan& row_plan = dct_plan(mx);
+      const DctPlan& col_plan = dct_plan(ny);
+      const auto column_pass = [&](std::size_t c, bool forward) {
+        for (std::size_t y = 0; y < ny; ++y) line[y] = g[y * mx + c];
+        forward ? col_plan.dct2(line.data()) : col_plan.dct3(line.data());
+        for (std::size_t y = 0; y < ny; ++y) g[y * mx + c] = line[y];
+      };
+      for (std::size_t idx = 0; idx < p; ++idx) g[panels[idx]] = x(idx, j);
+      for (const std::size_t y : panel_rows) row_plan.dct2(g + y * mx);
+      for (std::size_t c = 0; c < mx; ++c) column_pass(c, /*forward=*/true);
+      scale_modes(g);
+      for (std::size_t y = 0; y < ny; ++y) row_plan.dct3(g + y * mx);
+      for (const std::size_t c : panel_cols) column_pass(c, /*forward=*/false);
+      for (std::size_t idx = 0; idx < p; ++idx) out(idx, j) = g[panels[idx]];
     });
-    return z;
+    return out;
   }
 
   // Dense direct fallback for the robust chain: materializes the restricted
@@ -173,8 +199,6 @@ struct SurfaceSolver::Impl {
         fault_corrupt(FaultSite::kSolverApply, y);
         return y;
       };
-      const FunctionPreconditioner pre(
-          [&](const Matrix& r) { return precondition_many(r); });
       const DirectSolveFn direct =
           panels.size() <= kMaxDirectDim
               ? DirectSolveFn([&](const Matrix& bb) { return direct_solve(bb); })
@@ -182,7 +206,7 @@ struct SurfaceSolver::Impl {
       const Matrix q = robust_pcg_block(
           op, v,
           {.iter = {.rel_tol = options.rel_tol, .max_iterations = options.max_iterations}},
-          &rrep, options.contact_block_precond ? &pre : nullptr, /*tighter=*/nullptr, direct);
+          &rrep, block_precond.get(), /*tighter=*/nullptr, direct);
       accumulate_diag(diag, rrep);
       total_iterations += static_cast<long>(rrep.iterations) * static_cast<long>(kc);
       stat_solves += static_cast<long>(kc);
@@ -231,12 +255,21 @@ SurfaceSolver::SurfaceSolver(const Layout& layout, const SubstrateStack& stack,
     }
   }
 
-  // Flatten contact panels.
+  // Flatten contact panels, and list the grid rows and columns they occupy.
+  std::vector<char> row_used(ny, 0), col_used(mx, 0);
   impl_->contact_begin.push_back(0);
   for (std::size_t c = 0; c < layout.n_contacts(); ++c) {
-    for (const std::size_t p : layout.contact_panels(c)) impl_->panels.push_back(p);
+    for (const std::size_t p : layout.contact_panels(c)) {
+      impl_->panels.push_back(p);
+      row_used[p / mx] = 1;
+      col_used[p % mx] = 1;
+    }
     impl_->contact_begin.push_back(impl_->panels.size());
   }
+  for (std::size_t y = 0; y < ny; ++y)
+    if (row_used[y]) impl_->panel_rows.push_back(y);
+  for (std::size_t x = 0; x < mx; ++x)
+    if (col_used[x]) impl_->panel_cols.push_back(x);
 
   if (options.contact_block_precond) {
     // Approximate per-contact diagonal blocks of A_cc assuming translation
@@ -246,6 +279,7 @@ SurfaceSolver::SurfaceSolver(const Layout& layout, const SubstrateStack& stack,
     const std::size_t cx = mx / 2, cy = ny / 2;
     unit[cx + mx * cy] = 1.0;
     const Vector kernel = impl_->apply_grid(unit);
+    std::vector<Cholesky> factors;
     for (std::size_t c = 0; c < layout.n_contacts(); ++c) {
       const auto cpanels = layout.contact_panels(c);
       const std::size_t np = cpanels.size();
@@ -271,15 +305,17 @@ SurfaceSolver::SurfaceSolver(const Layout& layout, const SubstrateStack& stack,
         for (std::size_t j = i + 1; j < np; ++j)
           SUBSPAR_ENSURE(blockm(i, j) == blockm(j, i));
       try {
-        impl_->block_factors.emplace_back(blockm);
+        factors.emplace_back(blockm);
       } catch (const std::invalid_argument&) {
         // The translation-invariant approximation can go indefinite for
         // contacts large relative to the grid; fall back to the diagonal.
         Matrix diag(np, np);
         for (std::size_t i = 0; i < np; ++i) diag(i, i) = blockm(i, i);
-        impl_->block_factors.emplace_back(diag);
+        factors.emplace_back(diag);
       }
     }
+    impl_->block_precond =
+        std::make_unique<ContactBlockPreconditioner>(impl_->contact_begin, std::move(factors));
   }
 }
 

@@ -53,7 +53,7 @@ class SurfaceSolver : public SubstrateSolver {
  protected:
   Vector do_solve(const Vector& contact_voltages) const override;
   /// Batched solve: one blocked PCG over all columns (chunked to a small
-  /// block width), with batched DCT operator applications fanned out over
+  /// block width), each operator application fanning its columns out over
   /// the SUBSPAR_THREADS pool.
   Matrix do_solve_many(const Matrix& contact_voltages) const override;
 

@@ -5,7 +5,6 @@
 
 #include "linalg/backend.hpp"
 #include "util/check.hpp"
-#include "util/parallel.hpp"
 
 namespace subspar {
 namespace {
@@ -169,15 +168,6 @@ void separable_2d_planned(double* a, std::size_t rows, std::size_t cols, bool fo
   }
 }
 
-void separable_2d_many(std::vector<double>& a, std::size_t rows, std::size_t cols,
-                       std::size_t batch, bool forward) {
-  SUBSPAR_REQUIRE(a.size() == batch * rows * cols);
-  const std::size_t grid = rows * cols;
-  parallel_for(batch, [&](std::size_t b) {
-    separable_2d_planned(a.data() + b * grid, rows, cols, forward);
-  });
-}
-
 }  // namespace
 
 void dct2_2d(std::vector<double>& a, std::size_t rows, std::size_t cols) {
@@ -188,16 +178,6 @@ void dct2_2d(std::vector<double>& a, std::size_t rows, std::size_t cols) {
 void dct3_2d(std::vector<double>& a, std::size_t rows, std::size_t cols) {
   SUBSPAR_REQUIRE(a.size() == rows * cols);
   separable_2d_planned(a.data(), rows, cols, /*forward=*/false);
-}
-
-void dct2_2d_many(std::vector<double>& a, std::size_t rows, std::size_t cols,
-                  std::size_t batch) {
-  separable_2d_many(a, rows, cols, batch, /*forward=*/true);
-}
-
-void dct3_2d_many(std::vector<double>& a, std::size_t rows, std::size_t cols,
-                  std::size_t batch) {
-  separable_2d_many(a, rows, cols, batch, /*forward=*/false);
 }
 
 }  // namespace subspar

@@ -10,9 +10,7 @@
 // which makes the transform matrix orthogonal: dct3 = dct2^T = dct2^{-1}.
 //
 // Hot paths go through cached `DctPlan`s (precomputed Makhoul twiddles, the
-// underlying FftPlan, and reusable scratch); the batched `*_2d_many` entry
-// points transform a stack of independent grids and fan out over the
-// SUBSPAR_THREADS pool.
+// underlying FftPlan, and reusable scratch), one grid line per call.
 #pragma once
 
 #include <cstddef>
@@ -79,15 +77,5 @@ std::vector<double> dct3_naive(const std::vector<double>& x);
 /// Separable 2-D transforms on a row-major rows x cols buffer, in place.
 void dct2_2d(std::vector<double>& a, std::size_t rows, std::size_t cols);
 void dct3_2d(std::vector<double>& a, std::size_t rows, std::size_t cols);
-
-/// Batched separable 2-D transforms: `a` holds `batch` independent
-/// row-major rows x cols grids back to back (size batch * rows * cols).
-/// Grids are transformed independently (identical per-grid arithmetic to
-/// the single-grid calls) and fan out over the SUBSPAR_THREADS pool, so
-/// results are bit-identical for any thread count.
-void dct2_2d_many(std::vector<double>& a, std::size_t rows, std::size_t cols,
-                  std::size_t batch);
-void dct3_2d_many(std::vector<double>& a, std::size_t rows, std::size_t cols,
-                  std::size_t batch);
 
 }  // namespace subspar

@@ -1,4 +1,4 @@
-#include "linalg/lanczos.hpp"
+#include "lanczos.hpp"
 
 #include <cmath>
 

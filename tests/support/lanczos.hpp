@@ -1,6 +1,7 @@
-// Lanczos extreme-eigenvalue estimation for SPD black-box operators.
+// Lanczos extreme-eigenvalue estimation for SPD black-box operators, for
+// the tests.
 //
-// Used to quantify what the fast-solver preconditioners of §2.2.2 actually
+// It quantifies what the fast-solver preconditioners of §2.2.2 actually
 // do: PCG iteration counts track sqrt(cond(M^{-1/2} A M^{-1/2})), so
 // estimating the preconditioned spectrum's edges explains Table 2.1.
 #pragma once

@@ -1,4 +1,4 @@
-#include "linalg/lu.hpp"
+#include "lu.hpp"
 
 #include <cmath>
 #include <numeric>

@@ -1,5 +1,5 @@
-// Dense LU factorization with partial pivoting, for general (non-symmetric)
-// reference solves in tests and small auxiliary systems.
+// Dense LU factorization with partial pivoting: the linalg tests' reference
+// for general (non-symmetric) solves and determinants.
 #pragma once
 
 #include "linalg/matrix.hpp"

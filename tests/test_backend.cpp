@@ -469,9 +469,6 @@ TEST(BackendParity, BatchedEqualsSingleBitwiseUnderEveryBackend) {
   const SparseMatrix a = random_spd(120, 3, rng);
   const std::size_t kRhs = 6;
   const Matrix x = random_matrix(120, kRhs, rng);
-  const std::size_t n = 16;
-  std::vector<double> grids(3 * n * n);
-  for (auto& v : grids) v = rng.uniform(-1.0, 1.0);
 
   for (BackendKind kind : supported_backends()) {
     set_backend(kind);
@@ -486,15 +483,6 @@ TEST(BackendParity, BatchedEqualsSingleBitwiseUnderEveryBackend) {
         ASSERT_EQ(many(i, j), single[i]) << "apply_many " << tag;
         ASSERT_EQ(t_many(i, j), t_single[i]) << "apply_t_many " << tag;
       }
-    }
-
-    std::vector<double> batched = grids;
-    dct2_2d_many(batched, n, n, 3);
-    for (std::size_t g = 0; g < 3; ++g) {
-      std::vector<double> one(grids.begin() + g * n * n, grids.begin() + (g + 1) * n * n);
-      dct2_2d(one, n, n);
-      for (std::size_t i = 0; i < one.size(); ++i)
-        ASSERT_EQ(batched[g * n * n + i], one[i]) << "dct2_2d_many " << tag;
     }
   }
 }

@@ -10,10 +10,10 @@
 #include "geometry/layout_gen.hpp"
 #include "linalg/cholesky.hpp"
 #include "linalg/eig_sym.hpp"
-#include "linalg/lanczos.hpp"
 #include "substrate/eigen_solver.hpp"
 #include "substrate/solver.hpp"
 #include "subspar/extraction.hpp"
+#include "support/lanczos.hpp"
 #include "util/rng.hpp"
 
 namespace subspar {

@@ -2,17 +2,20 @@
 // every factorization, including randomized property sweeps (TEST_P).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "linalg/cholesky.hpp"
 #include "linalg/eig_sym.hpp"
 #include "linalg/iterative.hpp"
-#include "linalg/lu.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/qr.hpp"
 #include "linalg/svd.hpp"
+#include "support/lu.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 
@@ -237,6 +240,77 @@ TEST(Cholesky, ReconstructsAndSolves) {
   const Vector b = random_matrix(12, 1, rng).col(0);
   const Vector x = chol.solve(b);
   EXPECT_LT(norm2(matvec(a, x) - b), 1e-9 * norm2(b));
+}
+
+// Cholesky::solve(Vector) before solve_block existed: one column over
+// lower(), y and x in separate vectors. solve(Vector) is now solve_block at
+// k = 1, so it cannot serve as its own reference.
+Vector parent_substitution(const Matrix& l, const Vector& b) {
+  const std::size_t n = l.rows();
+  Vector y(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    double s = b[i];
+    for (std::size_t k = 0; k < i; ++k) s -= l(i, k) * y[k];
+    y[i] = s / l(i, i);
+  }
+  Vector x(n);
+  for (std::size_t ii = n; ii-- > 0;) {
+    double s = y[ii];
+    for (std::size_t k = ii + 1; k < n; ++k) s -= l(k, ii) * x[k];
+    x[ii] = s / l(ii, ii);
+  }
+  return x;
+}
+
+TEST(Cholesky, BlockSolveMatchesParentSubstitutionBitwise) {
+  // solve_block serves solve(Vector), solve(Matrix) and the surface
+  // solver's block-Jacobi rows; every column must keep the per-column
+  // substitution's bits at any width, at a row offset inside a taller
+  // block, into an output full of NaN, and in place.
+  Rng rng(61);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (std::size_t n = 1; n <= 9; ++n) {
+    const Cholesky chol(random_spd(n, rng));
+    for (std::size_t k = 1; k <= 17; ++k) {
+      const Matrix b = random_matrix(n, k, rng);
+      Matrix ref(n, k);
+      for (std::size_t j = 0; j < k; ++j)
+        ref.set_col(j, parent_substitution(chol.lower(), b.col(j)));
+      // Entries of rows [row0, row0 + n) of `got` whose bits differ from ref.
+      const auto mismatches = [&](const Matrix& got, std::size_t row0) {
+        std::size_t bad = 0;
+        for (std::size_t i = 0; i < n; ++i)
+          for (std::size_t j = 0; j < k; ++j)
+            bad += std::bit_cast<std::uint64_t>(got(row0 + i, j)) !=
+                   std::bit_cast<std::uint64_t>(ref(i, j));
+        return bad;
+      };
+      const std::string at = " n=" + std::to_string(n) + " k=" + std::to_string(k);
+
+      Matrix x(n, k, nan);
+      chol.solve_block(b.row_ptr(0), x.row_ptr(0), k);
+      EXPECT_EQ(mismatches(x, 0), 0u) << "solve_block" << at;
+      EXPECT_EQ(mismatches(chol.solve(b), 0), 0u) << "solve(Matrix)" << at;
+      Matrix by_vector(n, k);
+      for (std::size_t j = 0; j < k; ++j) by_vector.set_col(j, chol.solve(b.col(j)));
+      EXPECT_EQ(mismatches(by_vector, 0), 0u) << "solve(Vector)" << at;
+      Matrix in_place = b;
+      chol.solve_block(in_place.row_ptr(0), in_place.row_ptr(0), k);
+      EXPECT_EQ(mismatches(in_place, 0), 0u) << "in place" << at;
+
+      // Rows [3, 3 + n) of a taller block; the rows around them stay NaN.
+      const std::size_t row0 = 3, tall = n + 5;
+      Matrix bt = random_matrix(tall, k, rng);
+      bt.set_block(row0, 0, b);
+      Matrix xt(tall, k, nan);
+      chol.solve_block(bt.row_ptr(row0), xt.row_ptr(row0), k);
+      EXPECT_EQ(mismatches(xt, row0), 0u) << "row offset" << at;
+      for (std::size_t i = 0; i < tall; ++i) {
+        if (i >= row0 && i < row0 + n) continue;
+        for (std::size_t j = 0; j < k; ++j) ASSERT_TRUE(std::isnan(xt(i, j))) << i << at;
+      }
+    }
+  }
 }
 
 TEST(Cholesky, RejectsIndefiniteMatrix) {

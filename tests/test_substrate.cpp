@@ -3,13 +3,17 @@
 // the preconditioner behaviour behind Table 2.1.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
+#include <vector>
 
 #include "geometry/layout_gen.hpp"
+#include "linalg/cholesky.hpp"
+#include "linalg/robust.hpp"
 #include "linalg/sparse.hpp"
 #include "substrate/eigen_solver.hpp"
 #include "substrate/fd_solver.hpp"
@@ -837,6 +841,156 @@ TEST(SurfaceSolver, PreconditionerBlocksAreSymmetric) {
   // Out-of-range offsets clamp to the edge instead of wrapping.
   EXPECT_EQ(kernel_block_entry(kernel, mx, ny, cx, cy, 1000, 0),
             kernel_block_entry(kernel, mx, ny, cx, cy, static_cast<long>(mx), 0));
+}
+
+// ------------------------------------------- the surface solver's algorithm
+
+// The per-column substitution block-Jacobi ran over each contact's factor
+// before Cholesky::solve_block (the reference of
+// Cholesky.BlockSolveMatchesParentSubstitutionBitwise).
+Vector reference_substitution(const Matrix& l, const Vector& b) {
+  const std::size_t n = l.rows();
+  Vector y(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    double s = b[i];
+    for (std::size_t k = 0; k < i; ++k) s -= l(i, k) * y[k];
+    y[i] = s / l(i, i);
+  }
+  Vector x(n);
+  for (std::size_t ii = n; ii-- > 0;) {
+    double s = y[ii];
+    for (std::size_t k = ii + 1; k < n; ++k) s -= l(k, ii) * x[k];
+    x[ii] = s / l(ii, ii);
+  }
+  return x;
+}
+
+// SurfaceSolver::solve_many as it ran before the pruned operator, rebuilt
+// from public pieces: the full-grid panel operator on each zero-padded
+// column, block-Jacobi blocks assembled from the centred kernel and solved
+// column by column, and robust_pcg_block over 16-column chunks. The chain
+// must finish clean, so the solver's direct fallback never comes into it.
+Matrix reference_solve_many(const SurfaceSolver& solver, const Layout& l, bool block_precond,
+                            const Matrix& v) {
+  const std::size_t mx = l.panels_x(), ny = l.panels_y(), n = l.n_contacts();
+  std::vector<std::size_t> panels, begin{0};
+  for (std::size_t c = 0; c < n; ++c) {
+    for (const std::size_t p : l.contact_panels(c)) panels.push_back(p);
+    begin.push_back(panels.size());
+  }
+  const LinearOpMany op = [&](const Matrix& x) {
+    Matrix y(panels.size(), x.cols());
+    for (std::size_t j = 0; j < x.cols(); ++j) {
+      Vector grid(mx * ny);
+      for (std::size_t idx = 0; idx < panels.size(); ++idx) grid[panels[idx]] = x(idx, j);
+      const Vector out = solver.apply_panel_operator(grid);
+      for (std::size_t idx = 0; idx < panels.size(); ++idx) y(idx, j) = out[panels[idx]];
+    }
+    return y;
+  };
+
+  std::vector<Matrix> lowers;
+  Vector unit(mx * ny);
+  const std::size_t cx = mx / 2, cy = ny / 2;
+  unit[cx + mx * cy] = 1.0;
+  const Vector kernel = solver.apply_panel_operator(unit);
+  for (std::size_t c = 0; c < n; ++c) {
+    const auto cp = l.contact_panels(c);
+    const std::size_t np = cp.size();
+    Matrix blockm(np, np);
+    for (std::size_t i = 0; i < np; ++i) {
+      const long xi = static_cast<long>(cp[i] % mx), yi = static_cast<long>(cp[i] / mx);
+      for (std::size_t j = i; j < np; ++j) {
+        const long xj = static_cast<long>(cp[j] % mx), yj = static_cast<long>(cp[j] / mx);
+        blockm(i, j) = blockm(j, i) = kernel_block_entry(kernel, mx, ny, cx, cy, xj - xi, yj - yi);
+      }
+    }
+    try {
+      lowers.push_back(Cholesky(blockm).lower());
+    } catch (const std::invalid_argument&) {
+      Matrix diag(np, np);
+      for (std::size_t i = 0; i < np; ++i) diag(i, i) = blockm(i, i);
+      lowers.push_back(Cholesky(diag).lower());
+    }
+  }
+  const FunctionPreconditioner pre([&](const Matrix& r) {
+    Matrix z(r.rows(), r.cols());
+    for (std::size_t j = 0; j < r.cols(); ++j)
+      for (std::size_t c = 0; c < n; ++c) {
+        Vector rc(begin[c + 1] - begin[c]);
+        for (std::size_t idx = begin[c]; idx < begin[c + 1]; ++idx) rc[idx - begin[c]] = r(idx, j);
+        const Vector zc = reference_substitution(lowers[c], rc);
+        for (std::size_t idx = begin[c]; idx < begin[c + 1]; ++idx) z(idx, j) = zc[idx - begin[c]];
+      }
+    return z;
+  });
+
+  const SurfaceSolverOptions defaults;
+  Matrix currents(n, v.cols());
+  for (std::size_t j0 = 0; j0 < v.cols(); j0 += 16) {
+    const std::size_t kc = std::min<std::size_t>(16, v.cols() - j0);
+    Matrix rhs(panels.size(), kc);
+    for (std::size_t j = 0; j < kc; ++j)
+      for (std::size_t c = 0; c < n; ++c)
+        for (std::size_t idx = begin[c]; idx < begin[c + 1]; ++idx) rhs(idx, j) = v(c, j0 + j);
+    RobustSolveReport rep;
+    const Matrix q = robust_pcg_block(
+        op, rhs,
+        {.iter = {.rel_tol = defaults.rel_tol, .max_iterations = defaults.max_iterations}}, &rep,
+        block_precond ? &pre : nullptr);
+    EXPECT_TRUE(rep.clean);
+    for (std::size_t j = 0; j < kc; ++j)
+      for (std::size_t c = 0; c < n; ++c) {
+        double s = 0.0;
+        for (std::size_t idx = begin[c]; idx < begin[c + 1]; ++idx) s += q(idx, j);
+        currents(c, j0 + j) = s;
+      }
+  }
+  return currents;
+}
+
+TEST(SurfaceSolver, SolveManyMatchesParentAlgorithmBitwise) {
+  // The pruned DCT passes, the per-thread panel grid and the in-place
+  // block-Jacobi rows must leave every bit of the former algorithm, on
+  // layouts whose contacts miss different sets of grid rows and columns,
+  // with and without the preconditioner, at 1 and 4 threads, with more
+  // columns than threads and more than one 16-column chunk.
+  Layout rect(32, 16, 2.0);
+  rect.add_contact(Contact(2, 2, 2, 2));
+  rect.add_contact(Contact(9, 1, 3, 1));
+  rect.add_contact(Contact(20, 10, 2, 3));
+  rect.add_contact(Contact(27, 13, 1, 2));
+  const struct {
+    const char* name;
+    Layout layout;
+  } cases[] = {{"regular", regular_grid_layout(8)},
+               {"alternating", alternating_size_layout(8)},
+               {"irregular", irregular_layout(8, 0.6, 7)},
+               {"rectangular", rect}};
+  for (const auto& tc : cases) {
+    const Layout& l = tc.layout;
+    Rng rng(94);
+    Matrix v(l.n_contacts(), 21);
+    for (std::size_t i = 0; i < v.rows(); ++i)
+      for (std::size_t j = 0; j < v.cols(); ++j) v(i, j) = j == 3 ? 0.0 : rng.normal();
+    for (const bool precond : {true, false}) {
+      const SurfaceSolver solver(l, paper_stack(40.0, 0.5, 1.0),
+                                 {.contact_block_precond = precond});
+      const Matrix ref = reference_solve_many(solver, l, precond, v);
+      for (const std::size_t threads : {1, 4}) {
+        set_thread_count(threads);
+        const Matrix got = solver.solve_many(v);
+        set_thread_count(1);
+        std::size_t bad = 0;
+        for (std::size_t i = 0; i < v.rows(); ++i)
+          for (std::size_t j = 0; j < v.cols(); ++j)
+            bad += std::bit_cast<std::uint64_t>(got(i, j)) !=
+                   std::bit_cast<std::uint64_t>(ref(i, j));
+        EXPECT_EQ(bad, 0u) << tc.name << (precond ? " block-Jacobi" : " plain") << " at "
+                           << threads << " threads";
+      }
+    }
+  }
 }
 
 TEST(FdSolver, DeeperGridMoreAccurateThanCoarse) {

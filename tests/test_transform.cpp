@@ -485,7 +485,7 @@ TEST(FastPoisson, SingleLayerNzOne) {
   EXPECT_LT(norm2(fp.apply(x) - b), 1e-10 * norm2(b));
 }
 
-// ------------------------------------------------ plans and batched DCTs
+// ------------------------------------------------------------- DCT plans
 
 TEST(DctPlan, PlannedDct2MatchesNaive) {
   // 1e-13-level agreement; the O(N^2) reference itself accumulates roundoff
@@ -524,43 +524,6 @@ TEST(DctPlan, FreeFunctionsRouteThroughPlan) {
   dct_plan(x.size()).dct2(planned.data());
   const auto free_fn = dct2(x);
   for (std::size_t k = 0; k < x.size(); ++k) ASSERT_EQ(planned[k], free_fn[k]);
-}
-
-TEST(Dct2dMany, MatchesSingleGridTransformsBitExactly) {
-  const std::size_t rows = 16, cols = 8, batch = 5;
-  auto stacked = random_signal(batch * rows * cols, 71);
-  std::vector<std::vector<double>> singles(batch);
-  for (std::size_t b = 0; b < batch; ++b)
-    singles[b].assign(stacked.begin() + static_cast<std::ptrdiff_t>(b * rows * cols),
-                      stacked.begin() + static_cast<std::ptrdiff_t>((b + 1) * rows * cols));
-  dct2_2d_many(stacked, rows, cols, batch);
-  for (std::size_t b = 0; b < batch; ++b) {
-    dct2_2d(singles[b], rows, cols);
-    for (std::size_t i = 0; i < rows * cols; ++i)
-      ASSERT_EQ(stacked[b * rows * cols + i], singles[b][i]) << "grid " << b;
-  }
-}
-
-TEST(Dct2dMany, RoundTripIdentity) {
-  const std::size_t rows = 8, cols = 32, batch = 3;
-  auto a = random_signal(batch * rows * cols, 72);
-  const auto orig = a;
-  dct2_2d_many(a, rows, cols, batch);
-  dct3_2d_many(a, rows, cols, batch);
-  for (std::size_t i = 0; i < a.size(); ++i) ASSERT_NEAR(a[i], orig[i], 1e-12);
-}
-
-TEST(Dct2dMany, BitIdenticalAcrossThreadCounts) {
-  const std::size_t rows = 32, cols = 32, batch = 8;
-  const auto orig = random_signal(batch * rows * cols, 73);
-  set_thread_count(1);
-  auto one = orig;
-  dct2_2d_many(one, rows, cols, batch);
-  set_thread_count(4);
-  auto four = orig;
-  dct2_2d_many(four, rows, cols, batch);
-  set_thread_count(1);
-  for (std::size_t i = 0; i < orig.size(); ++i) ASSERT_EQ(one[i], four[i]);
 }
 
 TEST(FftPlan, ForwardMatchesNaiveDft) {
