@@ -3,6 +3,7 @@
 // one black-box substrate solve, and one apply of the phase-1 low-rank
 // representation.
 #include <benchmark/benchmark.h>
+#include <sys/resource.h>
 
 #include "common.hpp"
 
@@ -365,14 +366,27 @@ void BM_FdSolvePerColumn(benchmark::State& state) {
 }
 BENCHMARK(BM_FdSolvePerColumn)->Arg(16);
 
+// Also reports the process's minor page faults per solve ("minflt"), from a
+// getrusage delta around the timed loop. The solver keeps its PCG blocks
+// per thread. Two untimed solves at this width size them and settle the
+// allocator (glibc maps the first solve's nodes x k result block and raises
+// its mmap threshold when that is freed; the second comes from the heap),
+// so a timed solve should fault (next to) never.
 void BM_FdSolveBatched(benchmark::State& state) {
   static FdSolveFixture fx;
   const auto k = static_cast<std::size_t>(state.range(0));
   const Matrix v = random_rhs(fx.layout.n_contacts(), k, 15);
+  for (int warm = 0; warm < 2; ++warm) benchmark::DoNotOptimize(fx.solver.solve_many(v)(0, 0));
+  rusage before{};
+  getrusage(RUSAGE_SELF, &before);
   for (auto _ : state) {
     const Matrix i = fx.solver.solve_many(v);
     benchmark::DoNotOptimize(i(0, 0));
   }
+  rusage after{};
+  getrusage(RUSAGE_SELF, &after);
+  state.counters["minflt"] = benchmark::Counter(
+      static_cast<double>(after.ru_minflt - before.ru_minflt), benchmark::Counter::kAvgIterations);
   state.SetItemsProcessed(static_cast<long>(state.iterations()) * static_cast<long>(k));
 }
 BENCHMARK(BM_FdSolveBatched)->Arg(4)->Arg(16);

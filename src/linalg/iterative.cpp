@@ -1,5 +1,6 @@
 #include "linalg/iterative.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
 #include <vector>
@@ -48,13 +49,6 @@ Vector Preconditioner::apply(const Vector& r) const {
   Matrix zm(r.size(), 1);
   apply_many(rm, zm);
   return zm.col(0);
-}
-
-void FunctionPreconditioner::apply_many(const Matrix& r, Matrix& z) const {
-  SUBSPAR_REQUIRE(z.rows() == r.rows() && z.cols() == r.cols());
-  Matrix y = fn_(r);
-  SUBSPAR_REQUIRE(y.rows() == r.rows() && y.cols() == r.cols());
-  z = std::move(y);
 }
 
 Vector pcg(const LinearOp& a, const Vector& b, const IterOptions& opt, IterStats* stats,
@@ -112,22 +106,11 @@ std::vector<double> column_sum_squares(const Matrix& m) {
   return ss;
 }
 
-// Selects the `keep` columns of a matrix (column compaction after
-// deflating converged block-CG columns).
-Matrix select_cols(const Matrix& m, const std::vector<std::size_t>& keep) {
-  Matrix out(m.rows(), keep.size());
-  for (std::size_t i = 0; i < m.rows(); ++i) {
-    const double* src = m.row_ptr(i);
-    double* dst = out.row_ptr(i);
-    for (std::size_t j = 0; j < keep.size(); ++j) dst[j] = src[keep[j]];
-  }
-  return out;
-}
-
 }  // namespace
 
 Matrix pcg_block(const LinearOpMany& a, const Matrix& b, const IterOptions& opt,
-                 BlockIterStats* stats, const Preconditioner* precond) {
+                 BlockIterStats* stats, const Preconditioner* precond,
+                 PcgBlockScratch* scratch) {
   const std::size_t n = b.rows();
   const std::size_t k = b.cols();
   Matrix x(n, k);
@@ -147,22 +130,32 @@ Matrix pcg_block(const LinearOpMany& a, const Matrix& b, const IterOptions& opt,
   }
   std::vector<double> bnorm(active.size());
   for (std::size_t j = 0; j < active.size(); ++j) bnorm[j] = bnorm_all[active[j]];
-  Matrix r = select_cols(b, active);
 
-  Matrix xa(n, active.size());
-  // z = M^{-1} r lands in one block kept for the whole call (re-shaped
-  // only when columns deflate), and the direction update reuses it.
-  Matrix z(n, active.size());
+  // The working blocks: the caller's scratch, or this call's own. Each is
+  // re-shaped within its capacity and fully written before it is read.
+  PcgBlockScratch own;
+  PcgBlockScratch& w = scratch ? *scratch : own;
+  Matrix &xa = w.x, &r = w.r, &z = w.z, &p = w.p, &q = w.q;
+  xa.reshape(n, active.size());
+  std::fill(xa.row_ptr(0), xa.row_ptr(0) + n * active.size(), 0.0);
+  r.reshape(n, active.size());
+  for (std::size_t i = 0; i < n; ++i) {
+    const double* src = b.row_ptr(i);
+    double* dst = r.row_ptr(i);
+    for (std::size_t j = 0; j < active.size(); ++j) dst[j] = src[active[j]];
+  }
+  // z = M^{-1} r, re-shaped only when columns deflate; the direction
+  // update reuses it.
   const auto precondition = [&] {
     if (!precond) {
       z = r;
       return;
     }
-    if (z.cols() != r.cols()) z = Matrix(n, r.cols());
+    z.reshape(n, r.cols());
     precond->apply_many(r, z);
   };
   precondition();
-  Matrix p = z;
+  p = z;
   Matrix s = matmul_tn(z, r);  // live x live Gram of the recurrence
   // Stagnation watchdog: if the worst residual has not halved within a
   // window, the search directions have degenerated — recompute the true
@@ -175,7 +168,8 @@ Matrix pcg_block(const LinearOpMany& a, const Matrix& b, const IterOptions& opt,
     // grid spends essentially all its time in this loop, so per-iteration
     // granularity is what bounds a cancelled job's latency.
     cancellation_point("pcg_block");
-    const Matrix q = a(p);
+    q.reshape(n, p.cols());
+    a(p, q);
     const Matrix t = matmul_tn(p, q);
     const Matrix alpha = solve_block_gram(t, s);
     matmul_add(xa, p, alpha, 1.0);
@@ -197,25 +191,38 @@ Matrix pcg_block(const LinearOpMany& a, const Matrix& b, const IterOptions& opt,
         worst = std::max(worst, rel);
       }
     }
-    for (std::size_t i = 0; i < n; ++i)
-      for (const std::size_t j : done) x(i, active[j]) = xa(i, j);
     local.max_relative_residual = worst;
     if (keep.empty()) {
       local.converged = true;
-      break;
+      break;  // the copy after the loop delivers every column
     }
     const bool deflated = keep.size() < ka;
     if (deflated) {
-      std::vector<std::size_t> next_active(keep.size());
-      std::vector<double> next_bnorm(keep.size());
-      for (std::size_t j = 0; j < keep.size(); ++j) {
+      // One row pass delivers the converged columns and compacts xa and r
+      // in place: row i's kept entries move to slots [i kn, i kn + kn),
+      // which never pass its old slots [i ka, i ka + ka), so every entry is
+      // read before anything overwrites it.
+      const std::size_t kn = keep.size();
+      double* const xd = xa.row_ptr(0);
+      double* const rd = r.row_ptr(0);
+      for (std::size_t i = 0; i < n; ++i) {
+        const double* xo = xd + i * ka;
+        double* const xrow = x.row_ptr(i);
+        for (const std::size_t j : done) xrow[active[j]] = xo[j];
+        for (std::size_t j = 0; j < kn; ++j) xd[i * kn + j] = xo[keep[j]];
+        const double* ro = rd + i * ka;
+        for (std::size_t j = 0; j < kn; ++j) rd[i * kn + j] = ro[keep[j]];
+      }
+      xa.reshape(n, kn);
+      r.reshape(n, kn);
+      std::vector<std::size_t> next_active(kn);
+      std::vector<double> next_bnorm(kn);
+      for (std::size_t j = 0; j < kn; ++j) {
         next_active[j] = active[keep[j]];
         next_bnorm[j] = bnorm[keep[j]];
       }
       active = std::move(next_active);
       bnorm = std::move(next_bnorm);
-      xa = select_cols(xa, keep);
-      r = select_cols(r, keep);
       // p is not compacted: every post-deflation path below restarts the
       // recurrence with p = z.
     }
@@ -226,7 +233,7 @@ Matrix pcg_block(const LinearOpMany& a, const Matrix& b, const IterOptions& opt,
     }
     if (it - stall_it >= kStallWindow) {
       // True-residual restart: one extra operator apply, only on stall.
-      r = a(xa);
+      a(xa, r);
       r *= -1.0;
       for (std::size_t i = 0; i < n; ++i)
         for (std::size_t j = 0; j < active.size(); ++j) r(i, j) += b(i, active[j]);

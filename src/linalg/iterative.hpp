@@ -19,9 +19,13 @@ namespace subspar {
 /// y = A x for a black-box linear operator.
 using LinearOp = std::function<Vector(const Vector&)>;
 
-/// Y = A X columnwise for a black-box linear operator (each column of X is
-/// an independent vector; implementations may batch or thread the columns).
-using LinearOpMany = std::function<Matrix(const Matrix&)>;
+/// Y = A X columnwise for a black-box linear operator, written into the
+/// caller's block: y arrives sized (operator rows) x x.cols() with
+/// unspecified contents, and the operator overwrites every entry. Each
+/// column of X is an independent vector; implementations may batch or
+/// thread the columns. The caller owns y, so a solver that keeps its
+/// blocks across calls applies the operator without allocating.
+using LinearOpMany = std::function<void(const Matrix& x, Matrix& y)>;
 
 /// The preconditioner interface of the batched sparse engine: one object
 /// per factorization/setup, applied to whole blocks of residuals at once.
@@ -47,18 +51,6 @@ class Preconditioner {
   Vector apply(const Vector& r) const;
 };
 
-/// Adapter for ad-hoc preconditioners (tests, out-of-tree operators): wraps
-/// a columnwise callable as a Preconditioner. The callable must return an
-/// r-shaped block, which replaces z.
-class FunctionPreconditioner final : public Preconditioner {
- public:
-  explicit FunctionPreconditioner(LinearOpMany fn) : fn_(std::move(fn)) {}
-  void apply_many(const Matrix& r, Matrix& z) const override;
-
- private:
-  LinearOpMany fn_;
-};
-
 struct IterStats {
   std::size_t iterations = 0;
   double relative_residual = 0.0;  ///< ||b - A x|| / ||b|| at exit
@@ -82,6 +74,15 @@ struct BlockIterStats {
   bool converged = false;              ///< every column converged
 };
 
+/// pcg_block's n x k working blocks: the active iterate, the residual, the
+/// preconditioned residual, the search directions and the operator output.
+/// pcg_block re-shapes each within its capacity and overwrites what it
+/// reads, so one scratch kept across calls lets repeated solves of the same
+/// size allocate no n x k block. One scratch serves one solve at a time.
+struct PcgBlockScratch {
+  Matrix x, r, z, p, q;
+};
+
 /// Blocked PCG for SPD A with k right-hand sides (the columns of b), sharing
 /// one block-Krylov space across the columns (O'Leary): each iteration runs
 /// ONE batched operator application for all k columns, and the block search
@@ -92,9 +93,11 @@ struct BlockIterStats {
 /// k x k Gram systems, so the method never breaks down. Zero columns of b
 /// return zero columns. Deterministic for any SUBSPAR_THREADS.
 /// Preconditioning goes through the blockwise Preconditioner interface
-/// (nullptr = identity); wrap ad-hoc callables in FunctionPreconditioner.
+/// (nullptr = identity). The working blocks live in `scratch` when given
+/// (the result does not depend on what it held), else in the call.
 Matrix pcg_block(const LinearOpMany& a, const Matrix& b, const IterOptions& opt,
-                 BlockIterStats* stats, const Preconditioner* precond = nullptr);
+                 BlockIterStats* stats, const Preconditioner* precond = nullptr,
+                 PcgBlockScratch* scratch = nullptr);
 
 /// Restarted GMRES(m).
 Vector gmres(const LinearOp& a, const Vector& b, std::size_t restart, const IterOptions& opt,

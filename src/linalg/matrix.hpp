@@ -20,6 +20,17 @@ class Matrix {
 
   static Matrix identity(std::size_t n);
 
+  /// Re-shapes to rows x cols over the same buffer, whose capacity never
+  /// shrinks, so a block kept across calls is re-shaped without a fresh
+  /// allocation. The first rows * cols entries keep their storage-order
+  /// values (entries past the old size are zero); callers that re-shape a
+  /// block for new contents overwrite every entry.
+  void reshape(std::size_t rows, std::size_t cols) {
+    data_.resize(rows * cols);
+    rows_ = rows;
+    cols_ = cols;
+  }
+
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
   bool empty() const { return rows_ == 0 || cols_ == 0; }

@@ -47,10 +47,11 @@ bool fault_corrupt(FaultSite site, Vector& y) {
 
 Matrix robust_pcg_block(const LinearOpMany& a, const Matrix& b, const RobustSolveOptions& opt,
                         RobustSolveReport* report, const Preconditioner* precond,
-                        const Preconditioner* tighter, const DirectSolveFn& direct) {
+                        const Preconditioner* tighter, const DirectSolveFn& direct,
+                        PcgBlockScratch* scratch) {
   RobustSolveReport rep;
   BlockIterStats stats;
-  Matrix x = pcg_block(a, b, opt.iter, &stats, precond);
+  Matrix x = pcg_block(a, b, opt.iter, &stats, precond, scratch);
   rep.iterations = stats.iterations;
   rep.worst_residual = stats.max_relative_residual;
   const bool corrupted = fault_corrupt(FaultSite::kSolverSolve, x);
@@ -71,7 +72,8 @@ Matrix robust_pcg_block(const LinearOpMany& a, const Matrix& b, const RobustSolv
   // Verifies candidate columns `xs` for rhs columns `cols`; accepted columns
   // are written into `out`, the rest returned for the next stage.
   const auto verify_and_keep = [&](const Matrix& xs, const std::vector<std::size_t>& cols) {
-    const Matrix axs = a(xs);
+    Matrix axs(n, xs.cols());
+    a(xs, axs);
     std::vector<std::size_t> still;
     for (std::size_t j = 0; j < cols.size(); ++j) {
       bool finite = true;
@@ -110,7 +112,8 @@ Matrix robust_pcg_block(const LinearOpMany& a, const Matrix& b, const RobustSolv
     const bool use_tighter = tighter != nullptr && attempt + 1 == opt.max_restarts;
     const Matrix bsub = gather_cols(b, bad);
     BlockIterStats rstats;
-    Matrix xs = pcg_block(a, bsub, opt.iter, &rstats, use_tighter ? tighter : precond);
+    Matrix xs =
+        pcg_block(a, bsub, opt.iter, &rstats, use_tighter ? tighter : precond, scratch);
     rep.iterations += rstats.iterations;
     ++rep.restarts;
     if (use_tighter) ++rep.tighter_restarts;

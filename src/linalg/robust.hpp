@@ -66,12 +66,14 @@ struct RobustSolveReport {
 using DirectSolveFn = std::function<Matrix(const Matrix& b)>;
 
 /// Runs the chain described above. The happy path returns pcg_block's result
-/// bit-identical. Throws SolverConvergenceError when columns remain
+/// bit-identical. Every pcg_block attempt, restarts included, works in
+/// `scratch` when given. Throws SolverConvergenceError when columns remain
 /// unrecovered after the whole chain.
 Matrix robust_pcg_block(const LinearOpMany& a, const Matrix& b, const RobustSolveOptions& opt,
                         RobustSolveReport* report, const Preconditioner* precond = nullptr,
                         const Preconditioner* tighter = nullptr,
-                        const DirectSolveFn& direct = nullptr);
+                        const DirectSolveFn& direct = nullptr,
+                        PcgBlockScratch* scratch = nullptr);
 
 /// Applies the seeded fault schedule to a result block: when `site` fires,
 /// one deterministic entry of `y` is overwritten with a deterministic

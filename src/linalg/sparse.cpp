@@ -107,11 +107,10 @@ Vector SparseMatrix::apply_t(const Vector& x) const {
   return y;
 }
 
-Matrix SparseMatrix::apply_many(const Matrix& x) const {
-  SUBSPAR_REQUIRE(x.rows() == cols_);
+void SparseMatrix::apply_many(const Matrix& x, Matrix& y) const {
   const std::size_t k = x.cols();
-  Matrix y(rows_, k);
-  if (k == 0 || rows_ == 0) return y;
+  SUBSPAR_REQUIRE(x.rows() == cols_ && y.rows() == rows_ && y.cols() == k && &y != &x);
+  if (k == 0 || rows_ == 0) return;
   const KernelOps& ops = kernel_ops();
   const std::size_t chunks = (rows_ + kSpmmRowChunk - 1) / kSpmmRowChunk;
   parallel_for(chunks, [&](std::size_t t) {
@@ -130,6 +129,11 @@ Matrix SparseMatrix::apply_many(const Matrix& x) const {
                        k, yrow, k);
     }
   });
+}
+
+Matrix SparseMatrix::apply_many(const Matrix& x) const {
+  Matrix y(rows_, x.cols());
+  apply_many(x, y);
   return y;
 }
 

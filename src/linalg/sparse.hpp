@@ -61,12 +61,16 @@ class SparseMatrix {
   Vector apply(const Vector& x) const;    ///< y = A x
   Vector apply_t(const Vector& x) const;  ///< y = A' x
 
-  /// Y = A X for k dense right-hand sides (the columns of X): one CSR
-  /// traversal feeds all k columns (row-major X keeps the inner loop
-  /// contiguous). Row-partitioned over the util/parallel pool in fixed-size
+  /// Y = A X for k dense right-hand sides (the columns of X), written into
+  /// the caller's y: one CSR traversal feeds all k columns (row-major X
+  /// keeps the inner loop contiguous). y must already be rows() x k and
+  /// must not be x (otherwise std::invalid_argument); every entry is
+  /// overwritten. Row-partitioned over the util/parallel pool in fixed-size
   /// chunks; each output row is produced by exactly one task with ascending
   /// column-index accumulation, so the result is bit-identical to k apply()
   /// calls for ANY SUBSPAR_THREADS.
+  void apply_many(const Matrix& x, Matrix& y) const;
+  /// Returning form of apply_many.
   Matrix apply_many(const Matrix& x) const;
   /// Y = A' X. Parallel over fixed-width column chunks of X (each task
   /// scatters into its own output columns, scanning rows in ascending

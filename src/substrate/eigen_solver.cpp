@@ -122,17 +122,18 @@ struct SurfaceSolver::Impl {
     return Vector(std::move(a));
   }
 
-  // Restricted operator, one task per column on the executing thread's
-  // panel grid: scatter, forward 2-D DCT, eigenvalue scale, inverse 2-D
-  // DCT, gather. A grid row without a contact panel is zero, so its forward
-  // row transform would be zero too and is skipped; a grid column without
-  // one is never gathered, so its inverse column transform is skipped.
-  // Every transform that runs is the per-line DctPlan call of dct2_2d /
-  // dct3_2d, so each column keeps apply_grid's bits at any thread count.
-  Matrix apply_restricted_many(const Matrix& x) const {
+  // Restricted operator into the caller's p x k block, one task per column
+  // on the executing thread's panel grid: scatter, forward 2-D DCT,
+  // eigenvalue scale, inverse 2-D DCT, gather into the column. A grid row
+  // without a contact panel is zero, so its forward row transform would be
+  // zero too and is skipped; a grid column without one is never gathered,
+  // so its inverse column transform is skipped. Every transform that runs
+  // is the per-line DctPlan call of dct2_2d / dct3_2d, so each column keeps
+  // apply_grid's bits at any thread count.
+  void apply_restricted_many(const Matrix& x, Matrix& out) const {
     const std::size_t mx = layout.panels_x(), ny = layout.panels_y();
     const std::size_t p = panels.size();
-    Matrix out(p, x.cols());
+    SUBSPAR_REQUIRE(x.rows() == p && out.rows() == p && out.cols() == x.cols() && &out != &x);
     parallel_for(x.cols(), [&](std::size_t j) {
       thread_local std::vector<double> grid, line;
       grid.assign(mx * ny, 0.0);
@@ -153,7 +154,6 @@ struct SurfaceSolver::Impl {
       for (const std::size_t c : panel_cols) column_pass(c, /*forward=*/false);
       for (std::size_t idx = 0; idx < p; ++idx) out(idx, j) = g[panels[idx]];
     });
-    return out;
   }
 
   // Dense direct fallback for the robust chain: materializes the restricted
@@ -163,7 +163,8 @@ struct SurfaceSolver::Impl {
   Matrix direct_solve(const Matrix& b) const {
     if (!direct_factor) {
       const std::size_t p = panels.size();
-      Matrix a_cc = apply_restricted_many(Matrix::identity(p));
+      Matrix a_cc(p, p);
+      apply_restricted_many(Matrix::identity(p), a_cc);
       // The DCT round trip is symmetric only to rounding; Cholesky needs it
       // exact.
       for (std::size_t i = 0; i < p; ++i)
@@ -194,15 +195,17 @@ struct SurfaceSolver::Impl {
             v(idx, j) = contact_voltages(c, j0 + j);
 
       RobustSolveReport rrep;
-      const LinearOpMany op = [&](const Matrix& x) {
-        Matrix y = apply_restricted_many(x);
+      const LinearOpMany op = [&](const Matrix& x, Matrix& y) {
+        apply_restricted_many(x, y);
         fault_corrupt(FaultSite::kSolverApply, y);
-        return y;
       };
       const DirectSolveFn direct =
           panels.size() <= kMaxDirectDim
               ? DirectSolveFn([&](const Matrix& bb) { return direct_solve(bb); })
               : DirectSolveFn();
+      // No PcgBlockScratch: these panels x 16 blocks are 5-80x smaller than
+      // the FD solver's and fault little, while blocks kept past the call
+      // raised peak memory (docs/ARCHITECTURE.md, "Sparse engine").
       const Matrix q = robust_pcg_block(
           op, v,
           {.iter = {.rel_tol = options.rel_tol, .max_iterations = options.max_iterations}},

@@ -54,6 +54,20 @@ class LazyIc0Preconditioner final : public Preconditioner {
   mutable std::unique_ptr<Ic0Preconditioner> inner_;
 };
 
+/// What one thread's block solves keep from chunk to chunk, as
+/// FastPoisson3D keeps its scratch: pcg_block's working blocks and the
+/// chunk's right-hand side, each nodes x k. After the first chunk on a
+/// thread, a chunk allocates no nodes x k block.
+struct ThreadBlocks {
+  PcgBlockScratch pcg;
+  Matrix rhs;
+};
+
+ThreadBlocks& thread_blocks() {
+  thread_local ThreadBlocks blocks;
+  return blocks;
+}
+
 void accumulate_diag(SolverDiagnostics& d, const RobustSolveReport& r) {
   d.iterations += static_cast<long>(r.iterations);
   d.max_iteration_hits += static_cast<long>(r.max_iteration_hits);
@@ -115,13 +129,13 @@ struct FdSolver::Impl {
 
   // One right-hand-side chunk through the robust fallback chain: pcg_block,
   // then restarts (the last with the lazy IC(0)), then the size-gated dense
-  // direct solve. Throws SolverConvergenceError when all of it fails.
+  // direct solve. Throws SolverConvergenceError when all of it fails. Every
+  // attempt works in the calling thread's PCG blocks.
   Matrix robust_chunk(const Matrix& b, SolverDiagnostics& d, std::size_t* iterations) const {
     RobustSolveReport rrep;
-    const LinearOpMany op = [&](const Matrix& p) {
-      Matrix y = a.apply_many(p);
+    const LinearOpMany op = [&](const Matrix& p, Matrix& y) {
+      a.apply_many(p, y);
       fault_corrupt(FaultSite::kSolverApply, y);
-      return y;
     };
     const DirectSolveFn direct =
         b.rows() <= kMaxDirectDim
@@ -130,22 +144,24 @@ struct FdSolver::Impl {
     const Matrix xc = robust_pcg_block(
         op, b,
         {.iter = {.rel_tol = options.rel_tol, .max_iterations = options.max_iterations}},
-        &rrep, precond.get(), tighter.get(), direct);
+        &rrep, precond.get(), tighter.get(), direct, &thread_blocks().pcg);
     accumulate_diag(d, rrep);
     if (iterations) *iterations = rrep.iterations;
     return xc;
   }
 
-  // Right-hand-side columns [j0, j0 + kc) of the volume system: each
-  // contact's ghost resistors inject g_contact * V into its top-plane
-  // nodes (shared by the single-column and blocked paths).
-  Matrix assemble_rhs(const Matrix& contact_voltages, std::size_t j0, std::size_t kc) const {
-    Matrix b(nx * ny * nz, kc);
+  // Right-hand-side columns [j0, j0 + kc) of the volume system, written
+  // into b (re-shaped within its capacity): each contact's ghost resistors
+  // inject g_contact * V into its top-plane nodes (shared by the
+  // single-column and blocked paths).
+  void assemble_rhs(const Matrix& contact_voltages, std::size_t j0, std::size_t kc,
+                    Matrix& b) const {
+    b.reshape(nx * ny * nz, kc);
+    std::fill(b.row_ptr(0), b.row_ptr(0) + nx * ny * nz * kc, 0.0);
     for (std::size_t j = 0; j < kc; ++j)
       for (std::size_t c = 0; c < contact_nodes.size(); ++c)
         for (const std::size_t node : contact_nodes[c])
           b(node, j) += g_contact * contact_voltages(c, j0 + j);
-    return b;
   }
 
   // Shared volume-solve core: contact-voltage columns -> interior voltage
@@ -162,7 +178,8 @@ struct FdSolver::Impl {
                            Sink&& sink) const {
     const std::size_t k = contact_voltages.cols();
     if (k == 1) {
-      const Matrix bm = assemble_rhs(contact_voltages, 0, 1);
+      Matrix bm;
+      assemble_rhs(contact_voltages, 0, 1, bm);
       const Vector b = bm.col(0);
       IterStats stats;
       const LinearOp op = [&](const Vector& p) {
@@ -198,9 +215,10 @@ struct FdSolver::Impl {
       sink(0, xc);
       return;
     }
+    Matrix& b = thread_blocks().rhs;
     for (std::size_t j0 = 0; j0 < k; j0 += kMaxSolveBlock) {
       const std::size_t kc = std::min(kMaxSolveBlock, k - j0);
-      const Matrix b = assemble_rhs(contact_voltages, j0, kc);
+      assemble_rhs(contact_voltages, j0, kc, b);
       std::size_t it = 0;
       const Matrix xc = robust_chunk(b, d, &it);
       total_iterations += static_cast<long>(it) * static_cast<long>(kc);

@@ -81,10 +81,11 @@ class FdSolver : public SubstrateSolver {
   /// Batched solve: blocked PCG over column chunks, the operator applied
   /// as one row-partitioned SpMM and the preconditioner as one blockwise
   /// Preconditioner::apply_many per iteration (IC(0) sweeps, batched
-  /// multigrid V-cycles, or threaded fast-Poisson solves). Each chunk's contact currents are read off its
-  /// top-plane contact nodes as soon as it converges, so no full-batch
-  /// volume matrix is kept. Throws SolverConvergenceError when the
-  /// fallback chain cannot converge a chunk.
+  /// multigrid V-cycles, or threaded fast-Poisson solves), each writing
+  /// into a block the calling thread keeps from chunk to chunk. Each
+  /// chunk's contact currents are read off its top-plane contact nodes as
+  /// soon as it converges, so no full-batch volume matrix is kept. Throws
+  /// SolverConvergenceError when the fallback chain cannot converge a chunk.
   Matrix do_solve_many(const Matrix& contact_voltages) const override;
 
  private:

@@ -120,7 +120,7 @@ TEST(RobustPcg, HappyPathIsBitIdenticalToPcgBlock) {
   const std::size_t n = 12, k = 3;
   const Matrix a = spd_matrix(n);
   const Matrix b = rhs_matrix(n, k);
-  const LinearOpMany op = [&](const Matrix& x) { return matmul(a, x); };
+  const LinearOpMany op = [&](const Matrix& x, Matrix& y) { y = matmul(a, x); };
   const IterOptions iter{.rel_tol = 1e-10, .max_iterations = 200};
   BlockIterStats stats;
   const Matrix plain = pcg_block(op, b, iter, &stats);
@@ -136,7 +136,7 @@ TEST(RobustPcg, ExhaustedChainThrowsTypedError) {
   const std::size_t n = 12, k = 2;
   const Matrix a = spd_matrix(n);
   const Matrix b = rhs_matrix(n, k);
-  const LinearOpMany op = [&](const Matrix& x) { return matmul(a, x); };
+  const LinearOpMany op = [&](const Matrix& x, Matrix& y) { y = matmul(a, x); };
   // One iteration cannot reach 1e-12 and there is no direct fallback.
   const RobustSolveOptions opt{.iter = {.rel_tol = 1e-12, .max_iterations = 1},
                                .max_restarts = 2,
@@ -152,7 +152,7 @@ TEST(RobustPcg, DirectFallbackRecoversWhatIterationCannot) {
   const std::size_t n = 12, k = 2;
   const Matrix a = spd_matrix(n);
   const Matrix b = rhs_matrix(n, k);
-  const LinearOpMany op = [&](const Matrix& x) { return matmul(a, x); };
+  const LinearOpMany op = [&](const Matrix& x, Matrix& y) { y = matmul(a, x); };
   const Cholesky chol(a);
   const DirectSolveFn direct = [&](const Matrix& rhs) { return chol.solve(rhs); };
   const RobustSolveOptions opt{.iter = {.rel_tol = 1e-12, .max_iterations = 1},
@@ -172,11 +172,10 @@ TEST(RobustPcg, TransientGarbageIsDetectedAndRetried) {
   // 0's Krylov recurrence); every later application is healthy. The chain
   // must detect the garbage at verification and recover via a restart.
   int calls = 0;
-  const LinearOpMany op = [&](const Matrix& x) {
-    Matrix y = matmul(a, x);
+  const LinearOpMany op = [&](const Matrix& x, Matrix& y) {
+    y = matmul(a, x);
     if (++calls == 1)
       for (std::size_t j = 0; j < y.cols(); ++j) y(0, j) = std::nan("");
-    return y;
   };
   const RobustSolveOptions opt{.iter = {.rel_tol = 1e-10, .max_iterations = 200}};
   RobustSolveReport rep;

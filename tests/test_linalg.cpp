@@ -15,6 +15,7 @@
 #include "linalg/matrix.hpp"
 #include "linalg/qr.hpp"
 #include "linalg/svd.hpp"
+#include "support/function_preconditioner.hpp"
 #include "support/lu.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
@@ -579,9 +580,18 @@ TEST(PcgBlock, SolvesAllColumnsWithDeflation) {
   b.set_col(2, b.col(1));                    // duplicate: degenerate Gram
   b.set_col(3, random_matrix(40, 1, rng).col(0));
   // Column 4 stays zero: must solve to zero without breaking SPD solves.
+  // The operator checks the output-block contract (y arrives sized for the
+  // product) and writes every entry of y where it lies.
+  const LinearOpMany op = [&](const Matrix& p, Matrix& y) {
+    ASSERT_EQ(y.rows(), a.rows());
+    ASSERT_EQ(y.cols(), p.cols());
+    const Matrix ap = matmul(a, p);
+    for (std::size_t i = 0; i < y.rows(); ++i)
+      for (std::size_t j = 0; j < y.cols(); ++j) y(i, j) = ap(i, j);
+  };
+  const IterOptions opt{.rel_tol = 1e-9, .max_iterations = 300};
   BlockIterStats st;
-  const Matrix x = pcg_block([&](const Matrix& p) { return matmul(a, p); }, b,
-                             {.rel_tol = 1e-9, .max_iterations = 300}, &st);
+  const Matrix x = pcg_block(op, b, opt, &st);
   EXPECT_TRUE(st.converged);
   const Cholesky chol(a);
   for (std::size_t j = 0; j < 4; ++j) {
@@ -590,6 +600,30 @@ TEST(PcgBlock, SolvesAllColumnsWithDeflation) {
     EXPECT_LT(norm2(xj - ref), 1e-8 * (1.0 + norm2(ref))) << "column " << j;
   }
   EXPECT_DOUBLE_EQ(norm2(x.col(4)), 0.0);
+
+  // The same solves through one PcgBlockScratch: first a wider one, then
+  // this deflating one twice. Whatever shapes and contents the blocks keep
+  // from the solve before, each result equals its cold call's bit for bit.
+  const Matrix wide = random_matrix(40, 9, rng);
+  BlockIterStats wide_st;
+  const Matrix wide_x = pcg_block(op, wide, opt, &wide_st);
+  EXPECT_TRUE(wide_st.converged);
+  const auto expect_bitwise = [](const Matrix& got, const Matrix& ref, const char* what) {
+    ASSERT_EQ(got.rows(), ref.rows());
+    ASSERT_EQ(got.cols(), ref.cols());
+    for (std::size_t i = 0; i < ref.rows(); ++i)
+      for (std::size_t j = 0; j < ref.cols(); ++j)
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(got(i, j)), std::bit_cast<std::uint64_t>(ref(i, j)))
+            << what << " (" << i << "," << j << ")";
+  };
+  PcgBlockScratch scratch;
+  BlockIterStats warm_st;
+  expect_bitwise(pcg_block(op, wide, opt, &warm_st, nullptr, &scratch), wide_x, "wide");
+  EXPECT_EQ(warm_st.iterations, wide_st.iterations);
+  for (const char* what : {"deflating after wide", "deflating after deflating"}) {
+    expect_bitwise(pcg_block(op, b, opt, &warm_st, nullptr, &scratch), x, what);
+    EXPECT_EQ(warm_st.iterations, st.iterations) << what;
+  }
 }
 
 TEST(PcgBlock, ConsumesPreconditionerInterface) {
@@ -601,7 +635,7 @@ TEST(PcgBlock, ConsumesPreconditionerInterface) {
   const Matrix b = random_matrix(30, 4, rng);
   const FunctionPreconditioner pre([&](const Matrix& r) { return chol.solve(r); });
   BlockIterStats st;
-  const Matrix x = pcg_block([&](const Matrix& p) { return matmul(a, p); }, b,
+  const Matrix x = pcg_block([&](const Matrix& p, Matrix& y) { y = matmul(a, p); }, b,
                              {.rel_tol = 1e-10, .max_iterations = 50}, &st, &pre);
   EXPECT_TRUE(st.converged);
   EXPECT_LE(st.iterations, 3u);

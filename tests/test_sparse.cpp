@@ -2,7 +2,9 @@
 // preconditioner.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
 
@@ -260,7 +262,10 @@ SparseMatrix grid2d_laplacian(std::size_t nx, std::size_t ny) {
 
 TEST(SpMM, ApplyManyBitIdenticalToSingleApplies) {
   // The engine contract: batched columns are bit-identical to one apply()
-  // per column (same FMA-contractable reduction per output entry).
+  // per column (same FMA-contractable reduction per output entry), in the
+  // returning form and in the output form, which overwrites every entry of
+  // the caller's NaN-prefilled block and rejects a wrongly shaped one.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
   for (int trial = 0; trial < 6; ++trial) {
     Rng rng(300 + trial);
     const std::size_t rows = 2 + rng.below(40), cols = 2 + rng.below(40);
@@ -271,11 +276,19 @@ TEST(SpMM, ApplyManyBitIdenticalToSingleApplies) {
       for (std::size_t j = 0; j < k; ++j) x(i, j) = rng.normal();
     const Matrix y = a.apply_many(x);
     ASSERT_EQ(y.rows(), rows);
+    Matrix out(rows, k, nan);
+    a.apply_many(x, out);
     for (std::size_t j = 0; j < k; ++j) {
       const Vector yj = a.apply(x.col(j));
-      for (std::size_t i = 0; i < rows; ++i)
+      for (std::size_t i = 0; i < rows; ++i) {
         ASSERT_EQ(y(i, j), yj[i]) << "trial " << trial << " col " << j;
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(out(i, j)), std::bit_cast<std::uint64_t>(yj[i]))
+            << "trial " << trial << " col " << j;
+      }
     }
+    Matrix short_rows(rows - 1, k), wide(rows, k + 1);
+    EXPECT_THROW(a.apply_many(x, short_rows), std::invalid_argument);
+    EXPECT_THROW(a.apply_many(x, wide), std::invalid_argument);
   }
 }
 

@@ -9,7 +9,12 @@
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
+#include <thread>
 #include <vector>
+
+#if defined(__linux__) && defined(__GLIBC__)
+#include <sys/resource.h>
+#endif
 
 #include "geometry/layout_gen.hpp"
 #include "linalg/cholesky.hpp"
@@ -21,6 +26,7 @@
 #include "transform/poisson.hpp"
 #include "substrate/solver.hpp"
 #include "substrate/stack.hpp"
+#include "support/function_preconditioner.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 
@@ -878,15 +884,13 @@ Matrix reference_solve_many(const SurfaceSolver& solver, const Layout& l, bool b
     for (const std::size_t p : l.contact_panels(c)) panels.push_back(p);
     begin.push_back(panels.size());
   }
-  const LinearOpMany op = [&](const Matrix& x) {
-    Matrix y(panels.size(), x.cols());
+  const LinearOpMany op = [&](const Matrix& x, Matrix& y) {
     for (std::size_t j = 0; j < x.cols(); ++j) {
       Vector grid(mx * ny);
       for (std::size_t idx = 0; idx < panels.size(); ++idx) grid[panels[idx]] = x(idx, j);
       const Vector out = solver.apply_panel_operator(grid);
       for (std::size_t idx = 0; idx < panels.size(); ++idx) y(idx, j) = out[panels[idx]];
     }
-    return y;
   };
 
   std::vector<Matrix> lowers;
@@ -1008,6 +1012,81 @@ TEST(FdSolver, DeeperGridMoreAccurateThanCoarse) {
   const double ef = std::abs(fine.solve(e)[0] - ref);
   EXPECT_LT(ef, ec);
 }
+
+Matrix random_voltages(std::size_t n, std::size_t k, std::uint64_t seed) {
+  Rng rng(seed);
+  Matrix v(n, k);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < k; ++j) v(i, j) = rng.normal();
+  return v;
+}
+
+TEST(FdSolver, SolveManyBitIdenticalOnWarmScratch) {
+  // A block solve keeps its PCG blocks and right-hand side per thread,
+  // from chunk to chunk and call to call. Widths 16, 7, 33 (two full
+  // chunks and a one-column one) and 16 on one solver grow, shrink and
+  // re-grow them; each result must equal, bit for bit, a fresh solver's on
+  // a fresh thread, whose blocks start empty — at 1 and 4 threads.
+  const Layout l = regular_grid_layout(4);
+  const SubstrateStack st = fd_stack(Backplane::kGrounded);
+  for (const std::size_t threads : {1, 4}) {
+    set_thread_count(threads);
+    const FdSolver solver(l, st, {.grid_h = 2.0});
+    std::uint64_t seed = 420;
+    for (const std::size_t k : {16, 7, 33, 16}) {
+      const Matrix v = random_voltages(l.n_contacts(), k, seed++);
+      const Matrix warm = solver.solve_many(v);
+      Matrix cold;
+      std::thread([&] { cold = FdSolver(l, st, {.grid_h = 2.0}).solve_many(v); }).join();
+      ASSERT_EQ(warm.rows(), cold.rows());
+      ASSERT_EQ(warm.cols(), cold.cols());
+      for (std::size_t i = 0; i < cold.rows(); ++i)
+        for (std::size_t j = 0; j < cold.cols(); ++j)
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(warm(i, j)),
+                    std::bit_cast<std::uint64_t>(cold(i, j)))
+              << threads << " threads, width " << k << " (" << i << "," << j << ")";
+    }
+  }
+  set_thread_count(1);
+}
+
+#if defined(__linux__) && defined(__GLIBC__)
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define SUBSPAR_SANITIZED_ALLOCATOR 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define SUBSPAR_SANITIZED_ALLOCATOR 1
+#endif
+#endif
+
+TEST(FdSolver, RepeatedSolveManyTakesNoPageFaults) {
+#ifdef SUBSPAR_SANITIZED_ALLOCATOR
+  GTEST_SKIP() << "the sanitizer's allocator maps and unmaps memory its own way";
+#endif
+  // perfbench's FD stack on an 8 x 8 contact layout: ~5k grid nodes, so
+  // every nodes x 16 block is far past glibc's mmap threshold. Blocks
+  // allocated per chunk go back to the kernel when freed and fault in
+  // again on the next solve; the per-thread blocks are kept, so once warm
+  // a 16-column solve takes (next to) no minor page faults.
+  set_thread_count(1);
+  const Layout l = regular_grid_layout(8, 1.0);
+  const FdSolver solver(
+      l, SubstrateStack({{2.0, 1.0}, {36.0, 100.0}, {2.0, 0.1}}, Backplane::kGrounded));
+  const Matrix v = random_voltages(l.n_contacts(), 16, 430);
+  const auto minor_faults = [] {
+    rusage u{};
+    getrusage(RUSAGE_THREAD, &u);
+    return u.ru_minflt;
+  };
+  solver.solve_many(v);
+  solver.solve_many(v);
+  const long before = minor_faults();
+  const Matrix currents = solver.solve_many(v);
+  const long faults = minor_faults() - before;
+  EXPECT_LE(faults, 32) << "minor page faults in a warm 16-column FD solve";
+  EXPECT_EQ(currents.cols(), 16u);
+}
+#endif
 
 }  // namespace
 }  // namespace subspar
