@@ -1,7 +1,7 @@
 // Microkernel throughput (google-benchmark): the computational primitives
-// every experiment stands on — FFT/DCT, small SVDs, the fast Poisson solve,
-// one black-box substrate solve, and one apply of the phase-1 low-rank
-// representation.
+// every experiment stands on — DCT lines and grids, small SVDs, the fast
+// Poisson solve, one black-box substrate solve, and one apply of the
+// phase-1 low-rank representation.
 #include <benchmark/benchmark.h>
 #include <sys/resource.h>
 
@@ -12,19 +12,27 @@ using namespace subspar::bench;
 
 namespace {
 
-void BM_Fft(benchmark::State& state) {
+// One DCT-II and one DCT-III line through DctPlan's line kernel, in place:
+// contiguous (Args n, 1: a grid row) or at stride n (Args n, n: a column
+// of an n x n grid, as the surface operator's column passes run them).
+// Items = lines.
+void BM_DctLine(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
+  const auto stride = static_cast<std::size_t>(state.range(1));
   Rng rng(1);
-  std::vector<Complex> x(n);
-  for (auto& v : x) v = Complex(rng.normal(), rng.normal());
+  std::vector<double> a(n * stride);
+  for (auto& v : a) v = rng.normal();
+  const DctPlan& plan = dct_plan(n);
   for (auto _ : state) {
-    auto y = x;
-    fft(y);
-    benchmark::DoNotOptimize(y);
+    plan.dct2(a.data(), stride);
+    plan.dct3(a.data(), stride);
+    benchmark::DoNotOptimize(a.data());
+    benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(static_cast<long>(state.iterations()) * static_cast<long>(n));
+  state.SetItemsProcessed(2 * static_cast<long>(state.iterations()));
 }
-BENCHMARK(BM_Fft)->Arg(256)->Arg(1024)->Arg(4096);
+BENCHMARK(BM_DctLine)->Args({32, 1})->Args({32, 32})->Args({128, 1})->Args({128, 128})
+    ->Args({256, 1})->Args({256, 256});
 
 void BM_Dct2d(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

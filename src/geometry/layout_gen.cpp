@@ -2,7 +2,7 @@
 
 #include <vector>
 
-#include "transform/fft.hpp"
+#include "transform/dct.hpp"
 #include "util/rng.hpp"
 
 namespace subspar {

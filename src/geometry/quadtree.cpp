@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "transform/fft.hpp"
+#include "transform/dct.hpp"
 
 namespace subspar {
 

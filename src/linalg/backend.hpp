@@ -1,7 +1,7 @@
 // Runtime-dispatched SIMD kernel backend (ROADMAP item 4).
 //
 // The hot kernels — the packed, tall-skinny and resident-panel GEMM kernels,
-// the multi-RHS CSR SpMM row kernels, and the DCT twiddle/dense loops, all
+// the multi-RHS CSR SpMM row kernels, and the dense-table DCT's dot, all
 // fp64 — are compiled several times into per-ISA translation units (scalar
 // baseline, AVX2+FMA, AVX-512, NEON) and selected ONCE per process through a
 // table of function pointers.
@@ -87,17 +87,6 @@ struct KernelOps {
 
   /// Contiguous dot products (the dense-table DCT path).
   double (*dot_f64)(const double* a, const double* b, std::size_t n);
-
-  /// DCT-II post-twiddle: x[0] = re(v[0]) * s0, x[k] = (tc[k] re(v[k]) -
-  /// ts[k] im(v[k])) * sk for k in [1, n). `v` is n interleaved (re, im)
-  /// pairs (std::complex<double> layout).
-  void (*dct2_post_f64)(const double* tc, const double* ts, const double* v, double* x,
-                        std::size_t n, double s0, double sk);
-  /// DCT-III pre-twiddle: v[0] = (x[0]/s0, 0) and for k in [1, n) with
-  /// c = tc[k], s = -ts[k], ck = x[k]/sk, cnk = x[n-k]/sk:
-  /// v[k] = (c ck + s cnk, s ck - c cnk).
-  void (*dct3_pre_f64)(const double* tc, const double* ts, const double* x, double* v,
-                       std::size_t n, double s0, double sk);
 };
 
 /// Backends compiled into this binary (always contains kScalar; the SIMD

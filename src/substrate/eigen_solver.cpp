@@ -10,7 +10,6 @@
 #include "linalg/cholesky.hpp"
 #include "linalg/robust.hpp"
 #include "transform/dct.hpp"
-#include "transform/fft.hpp"
 #include "util/check.hpp"
 #include "util/parallel.hpp"
 
@@ -128,30 +127,24 @@ struct SurfaceSolver::Impl {
   // without a contact panel is zero, so its forward row transform would be
   // zero too and is skipped; a grid column without one is never gathered,
   // so its inverse column transform is skipped. Every transform that runs
-  // is the per-line DctPlan call of dct2_2d / dct3_2d, so each column keeps
-  // apply_grid's bits at any thread count.
+  // is the per-line DctPlan call of dct2_2d / dct3_2d, columns in place at
+  // stride mx, so each column keeps apply_grid's bits at any thread count.
   void apply_restricted_many(const Matrix& x, Matrix& out) const {
     const std::size_t mx = layout.panels_x(), ny = layout.panels_y();
     const std::size_t p = panels.size();
     SUBSPAR_REQUIRE(x.rows() == p && out.rows() == p && out.cols() == x.cols() && &out != &x);
     parallel_for(x.cols(), [&](std::size_t j) {
-      thread_local std::vector<double> grid, line;
+      thread_local std::vector<double> grid;
       grid.assign(mx * ny, 0.0);
-      line.resize(ny);
       double* g = grid.data();
       const DctPlan& row_plan = dct_plan(mx);
       const DctPlan& col_plan = dct_plan(ny);
-      const auto column_pass = [&](std::size_t c, bool forward) {
-        for (std::size_t y = 0; y < ny; ++y) line[y] = g[y * mx + c];
-        forward ? col_plan.dct2(line.data()) : col_plan.dct3(line.data());
-        for (std::size_t y = 0; y < ny; ++y) g[y * mx + c] = line[y];
-      };
       for (std::size_t idx = 0; idx < p; ++idx) g[panels[idx]] = x(idx, j);
       for (const std::size_t y : panel_rows) row_plan.dct2(g + y * mx);
-      for (std::size_t c = 0; c < mx; ++c) column_pass(c, /*forward=*/true);
+      for (std::size_t c = 0; c < mx; ++c) col_plan.dct2(g + c, mx);
       scale_modes(g);
       for (std::size_t y = 0; y < ny; ++y) row_plan.dct3(g + y * mx);
-      for (const std::size_t c : panel_cols) column_pass(c, /*forward=*/false);
+      for (const std::size_t c : panel_cols) col_plan.dct3(g + c, mx);
       for (std::size_t idx = 0; idx < p; ++idx) out(idx, j) = g[panels[idx]];
     });
   }

@@ -13,7 +13,7 @@
 #include "linalg/robust.hpp"
 #include "linalg/sparse.hpp"
 #include "substrate/multigrid.hpp"
-#include "transform/fft.hpp"
+#include "transform/dct.hpp"
 #include "transform/poisson.hpp"
 #include "util/check.hpp"
 

@@ -9,8 +9,8 @@
 //   (dct2 x)_k = s_k * sum_j x_j cos(pi k (2j+1) / (2N)),
 // which makes the transform matrix orthogonal: dct3 = dct2^T = dct2^{-1}.
 //
-// Hot paths go through cached `DctPlan`s (precomputed Makhoul twiddles, the
-// underlying FftPlan, and reusable scratch), one grid line per call.
+// Hot paths go through cached `DctPlan`s, one grid line per call, read and
+// written in place at any stride (a grid row or a grid column).
 #pragma once
 
 #include <cstddef>
@@ -18,18 +18,29 @@
 
 #include "linalg/matrix.hpp"
 #include "linalg/vector.hpp"
-#include "transform/fft.hpp"
 
 namespace subspar {
 
-/// Precomputed orthonormal DCT-II / DCT-III of one fixed length: the
-/// Makhoul e^{-i pi k / 2N} twiddle table, the normalization scales, and a
-/// reusable complex scratch buffer. Power-of-two lengths run through the
-/// cached FftPlan in O(N log N); other lengths precompute the dense
-/// transform matrix once and apply it in O(N^2) without any trigonometry
-/// per call.
+/// True for 1, 2, 4, ...: the lengths DctPlan transforms in O(N log N),
+/// and the grid and tree sides the solvers and the quadtree accept.
+inline bool is_power_of_two(std::size_t n) { return n > 0 && (n & (n - 1)) == 0; }
+
+/// Precomputed orthonormal DCT-II / DCT-III of one fixed length.
 ///
-/// The scratch buffer makes the transform methods non-reentrant: share
+/// Power-of-two lengths run Makhoul's algorithm as one line kernel, with
+/// no plan lookup, complex buffer or backend call per line: one
+/// precomputed gather applies the even/odd split and the bit reversal at
+/// once, radix-2 butterflies run on split real/imaginary scratch over
+/// per-stage contiguous root tables (the first two stages in registers),
+/// and the DCT-II post-twiddle reads (the DCT-III pre-twiddle writes) that
+/// scratch directly. Every butterfly does the multiplies and adds of a
+/// std::complex<double> radix-2 FFT, in the same order, so finite inputs,
+/// and NaN inputs of one payload, give that path's bits (docs/
+/// ARCHITECTURE.md, *Transforms*, has the two looser cases). Other lengths
+/// apply the dense transform matrix, O(N^2), without any trigonometry per
+/// call.
+///
+/// The scratch buffers make the transform methods non-reentrant: share
 /// plans only through the per-thread `dct_plan()` cache (or give each
 /// thread its own instance).
 class DctPlan {
@@ -38,21 +49,32 @@ class DctPlan {
 
   std::size_t size() const { return n_; }
 
-  /// In-place orthonormal DCT-II of x[0..n). The twiddle/dense loops run on
-  /// the active kernel backend.
-  void dct2(double* x) const;
-  /// In-place orthonormal DCT-III (inverse of dct2).
-  void dct3(double* x) const;
+  /// In-place orthonormal DCT-II of the line x[0], x[stride], ...,
+  /// x[(n-1) stride]; the entries between them are not touched.
+  void dct2(double* x, std::size_t stride = 1) const;
+  /// In-place orthonormal DCT-III (inverse of dct2), same line layout.
+  void dct3(double* x, std::size_t stride = 1) const;
 
  private:
+  void butterflies(const double* root_im) const;
+  void dense(const Matrix& m, double* x, std::size_t stride) const;
+
   std::size_t n_;
-  bool fast_;                       ///< power-of-two FFT path
+  bool fast_;                       ///< power-of-two radix-2 path
   double s0_ = 0.0, sk_ = 0.0;      ///< orthonormal scales sqrt(1/N), sqrt(2/N)
+  double inv_n_ = 0.0;              ///< 1/N, the inverse FFT's normalization
+  std::vector<std::size_t> rev_;    ///< bit-reversal permutation
+  std::vector<std::size_t> gather_; ///< DCT-II source of FFT slot i: Makhoul index of rev_[i]
   std::vector<double> tw_cos_;      ///< cos(-pi k / 2N)
   std::vector<double> tw_sin_;      ///< sin(-pi k / 2N)
-  Matrix dense_;                    ///< dct2_matrix(n) (slow path)
+  /// Roots e^{-2 pi i j / N}, j < N/2, stage by stage: the stage with
+  /// half-length h uses j = k N / 2h for k < h, stored from offset h - 1.
+  std::vector<double> root_re_, root_im_;
+  std::vector<double> root_im_inv_; ///< -root_im_: the inverse transform's conjugate roots
+  Matrix dense_;                    ///< dct2_matrix(n) (dense path)
   Matrix dense_t_;                  ///< its transpose: dct3 rows contiguous
-  mutable std::vector<Complex> scratch_;
+  mutable std::vector<double> re_;  ///< line real parts (dense path: the line copy)
+  mutable std::vector<double> im_;  ///< line imaginary parts
 };
 
 /// The orthonormal DCT-II matrix of length n: row k is mode k sampled at
@@ -61,7 +83,8 @@ class DctPlan {
 /// FastPoisson3D.
 Matrix dct2_matrix(std::size_t n);
 
-/// Per-thread plan cache (same lifetime contract as fft_plan()).
+/// Per-thread plan cache: the returned reference stays valid for the
+/// lifetime of the calling thread.
 const DctPlan& dct_plan(std::size_t n);
 
 /// Orthonormal DCT-II through the cached plan. Fast (FFT-based) for

@@ -6,7 +6,6 @@
 
 #include "linalg/backend.hpp"
 #include "transform/dct.hpp"
-#include "transform/fft.hpp"
 #include "util/check.hpp"
 #include "util/parallel.hpp"
 

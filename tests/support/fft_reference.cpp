@@ -1,16 +1,15 @@
-#include "transform/fft.hpp"
+#include "fft_reference.hpp"
 
 #include <cmath>
 #include <map>
 
+#include "transform/dct.hpp"
 #include "util/check.hpp"
 
 namespace subspar {
 namespace {
 constexpr double kPi = 3.14159265358979323846;
 }  // namespace
-
-bool is_power_of_two(std::size_t n) { return n > 0 && (n & (n - 1)) == 0; }
 
 FftPlan::FftPlan(std::size_t n) : n_(n) {
   SUBSPAR_REQUIRE(is_power_of_two(n));
@@ -58,10 +57,6 @@ void FftPlan::inverse(Complex* x) const {
 }
 
 const FftPlan& fft_plan(std::size_t n) {
-  // Per-thread plan cache: thread_local IS the synchronization discipline —
-  // no cross-thread sharing, so no capability to annotate and nothing for
-  // -Wthread-safety to prove. tools/subspar_lint.py keeps naked mutexes out
-  // of this module; a shared cache would have to move onto util/sync.hpp.
   thread_local std::map<std::size_t, FftPlan> cache;
   auto it = cache.find(n);
   if (it == cache.end()) it = cache.emplace(n, FftPlan(n)).first;
@@ -84,6 +79,74 @@ std::vector<Complex> dft_naive(const std::vector<Complex>& x) {
     out[k] = s;
   }
   return out;
+}
+
+namespace {
+
+struct Twiddles {
+  double s0, sk;
+  std::vector<double> tc, ts;  // cos, sin of -pi k / 2N
+};
+
+Twiddles twiddles(std::size_t n) {
+  SUBSPAR_REQUIRE(is_power_of_two(n) && n > 1);
+  Twiddles t{std::sqrt(1.0 / static_cast<double>(n)), std::sqrt(2.0 / static_cast<double>(n)),
+             std::vector<double>(n), std::vector<double>(n)};
+  for (std::size_t k = 0; k < n; ++k) {
+    const double ang = -kPi * static_cast<double>(k) / (2.0 * static_cast<double>(n));
+    t.tc[k] = std::cos(ang);
+    t.ts[k] = std::sin(ang);
+  }
+  return t;
+}
+
+}  // namespace
+
+std::vector<double> makhoul_dct2(const std::vector<double>& in) {
+  const std::size_t n = in.size();
+  const Twiddles t = twiddles(n);
+  std::vector<double> x = in;
+  std::vector<Complex> scratch(n);
+  // Makhoul even-odd permutation + length-N FFT.
+  Complex* v = scratch.data();
+  for (std::size_t j = 0; j < n / 2; ++j) {
+    v[j] = Complex(x[2 * j], 0.0);
+    v[n - 1 - j] = Complex(x[2 * j + 1], 0.0);
+  }
+  fft_plan(n).forward(v);
+  // The scalar backend's post-twiddle; std::complex<double> is
+  // array-compatible with interleaved (re, im) doubles.
+  const double* vd = reinterpret_cast<const double*>(v);
+  x[0] = vd[0] * t.s0;
+  for (std::size_t j = 1; j < n; ++j)
+    x[j] = (t.tc[j] * vd[2 * j] - t.ts[j] * vd[2 * j + 1]) * t.sk;
+  return x;
+}
+
+std::vector<double> makhoul_dct3(const std::vector<double>& in) {
+  const std::size_t n = in.size();
+  const Twiddles t = twiddles(n);
+  std::vector<double> x = in;
+  std::vector<Complex> scratch(n);
+  // The scalar backend's pre-twiddle: V_k = e^{+i pi k / 2N} (C_k - i
+  // C_{N-k}); e^{+i a} has cos = tc, sin = -ts.
+  Complex* v = scratch.data();
+  double* vd = reinterpret_cast<double*>(v);
+  vd[0] = x[0] / t.s0;
+  vd[1] = 0.0;
+  for (std::size_t j = 1; j < n; ++j) {
+    const double ck = x[j] / t.sk;
+    const double cnk = x[n - j] / t.sk;
+    const double c = t.tc[j], s = -t.ts[j];
+    vd[2 * j] = c * ck + s * cnk;
+    vd[2 * j + 1] = s * ck - c * cnk;
+  }
+  fft_plan(n).inverse(v);
+  for (std::size_t j = 0; j < n / 2; ++j) {
+    x[2 * j] = v[j].real();
+    x[2 * j + 1] = v[n - 1 - j].real();
+  }
+  return x;
 }
 
 }  // namespace subspar

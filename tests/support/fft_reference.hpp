@@ -1,11 +1,6 @@
-// Iterative radix-2 complex FFT.
-//
-// The fast DCTs used by the eigenfunction substrate solver (§2.3.1) and the
-// fast-Poisson preconditioner (§2.2.2) are built on this transform. Hot
-// paths (every PCG iteration of both substrate solvers runs several 2-D
-// DCTs) go through cached `FftPlan`s, which precompute the bit-reversal
-// permutation and the twiddle-factor table once per length instead of
-// re-deriving them with sin/cos on every call.
+// The radix-2 std::complex FFT and the Makhoul DCT on top of it, as the
+// library ran them before DctPlan's split-array line kernel: the bitwise
+// reference the transform tests hold that kernel to.
 #pragma once
 
 #include <complex>
@@ -15,8 +10,6 @@
 namespace subspar {
 
 using Complex = std::complex<double>;
-
-bool is_power_of_two(std::size_t n);
 
 /// Precomputed radix-2 FFT of one fixed power-of-two length: bit-reversal
 /// permutation plus the e^{-2 pi i k / N} root table, shared by the forward
@@ -42,8 +35,7 @@ class FftPlan {
 };
 
 /// Per-thread plan cache: the returned reference stays valid for the
-/// lifetime of the calling thread. All plan-based entry points (fft, ifft,
-/// the DCTs) share this cache.
+/// lifetime of the calling thread.
 const FftPlan& fft_plan(std::size_t n);
 
 /// In-place forward FFT through the cached plan. N must be a power of two.
@@ -52,7 +44,13 @@ void fft(std::vector<Complex>& x);
 /// In-place inverse FFT including the 1/N normalization.
 void ifft(std::vector<Complex>& x);
 
-/// O(N^2) reference DFT for validation in tests (any N).
+/// O(N^2) reference DFT (any N).
 std::vector<Complex> dft_naive(const std::vector<Complex>& x);
+
+/// Orthonormal DCT-II and DCT-III of a power-of-two line (N >= 2) by
+/// Makhoul's even/odd permutation, fft_plan(N) and the scalar twiddle
+/// loops: DctPlan's power-of-two path as it was before the line kernel.
+std::vector<double> makhoul_dct2(const std::vector<double>& x);
+std::vector<double> makhoul_dct3(const std::vector<double>& x);
 
 }  // namespace subspar

@@ -6,11 +6,11 @@
 //
 // Parity contract (backend.hpp): the scalar backend is the bit-exact
 // reference; SIMD backends agree within a few ulp. Kernels that vectorize
-// ACROSS outputs (SpMM over RHS columns, the DCT twiddle loops) keep each
-// output's accumulation order and are bit-identical to scalar on x86 by
-// the FMA contraction policy (src/CMakeLists.txt); kernels that vectorize
-// WITHIN a reduction (dot, and GEMM with its deliberate contraction)
-// reassociate and may differ in the last ulp of the accumulation. On a cancelling sum the
+// ACROSS outputs (SpMM over RHS columns) keep each output's accumulation
+// order and are bit-identical to scalar on x86 by the FMA contraction
+// policy (src/CMakeLists.txt); kernels that vectorize WITHIN a reduction
+// (dot, and GEMM with its deliberate contraction) reassociate and may
+// differ in the last ulp of the accumulation. On a cancelling sum the
 // ulp distance of the (tiny) result is the wrong yardstick for that, so
 // the GEMM checks bound |ref - got| by 4 ulp of the accumulation
 // magnitude max|A| * max|B| * k, falling back to plain elementwise ulp
@@ -416,8 +416,8 @@ TEST(BackendParity, SpmmMatchesScalarOnFuzzedMatrices) {
 TEST(BackendParity, DctRoundTripUnderEveryBackend) {
   BackendGuard guard;
   Rng rng(31337);
-  // 32: power-of-two Makhoul/FFT path (backend twiddle kernels);
-  // 24: dense O(N^2) path (backend GEMV over the transform matrix).
+  // 32: power-of-two path (DctPlan's line kernel, which calls no backend
+  // kernel); 24: dense O(N^2) path (backend dot over the transform matrix).
   for (const std::size_t n : {std::size_t{32}, std::size_t{24}}) {
     std::vector<double> base(n * n);
     for (auto& v : base) v = rng.uniform(-1.0, 1.0);
@@ -440,16 +440,14 @@ TEST(BackendParity, DctRoundTripUnderEveryBackend) {
         if (ulp_distance(ref[i], fwd[i]) <= 4) continue;
         ASSERT_LE(std::abs(ref[i] - fwd[i]), dct_tol) << "dct2 " << tag << " i=" << i;
       }
-#if defined(__x86_64__) || defined(__i386__)
-      // The power-of-two path's twiddle kernels vectorize across outputs
-      // (order-preserving): bit-exact against scalar on x86. The dense
-      // path reduces through dot_f64, which reassociates — ulp only.
+      // The power-of-two path runs the same baseline-flag code under
+      // every backend: bit-exact against scalar on every target. The
+      // dense path reduces through dot_f64, which reassociates — ulp only.
       if ((n & (n - 1)) == 0) {
         for (std::size_t i = 0; i < fwd.size(); ++i) {
           ASSERT_EQ(ref[i], fwd[i]) << "dct2 bitwise " << tag << " i=" << i;
         }
       }
-#endif
 
       std::vector<double> back = fwd;
       dct3_2d(back, n, n);

@@ -8,6 +8,8 @@
 // change), update the constants here in the same commit and say why.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "subspar/subspar.hpp"
 
 namespace subspar {
@@ -58,6 +60,60 @@ TEST(GoldenQuickstart, PinsSolveCountSparsityAndResidual) {
   EXPECT_EQ(ex.report.phases[0].solves, kGoldenSolves);
   for (std::size_t i = 1; i < ex.report.phases.size(); ++i)
     EXPECT_EQ(ex.report.phases[i].solves, 0) << ex.report.phases[i].phase;
+}
+
+// FNV-1a over each CSR row's end offset and then its (column, value)
+// pairs, Q first and G_w after, from the FNV offset basis: the digest
+// perfbench's model_hash prints, so a pin here and a perfbench run name the
+// same bits.
+std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t bytes) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < bytes; ++i) h = (h ^ p[i]) * 0x100000001b3ULL;
+  return h;
+}
+
+std::uint64_t sparse_digest(std::uint64_t h, const SparseMatrix& a) {
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    const std::size_t end = a.row_end(i);
+    h = fnv1a(h, &end, sizeof end);
+    for (std::size_t k = a.row_begin(i); k < end; ++k) {
+      const std::size_t col = a.col_index(k);
+      const double val = a.value(k);
+      h = fnv1a(h, &col, sizeof col);
+      h = fnv1a(h, &val, sizeof val);
+    }
+  }
+  return h;
+}
+
+// The quickstart model's digests, pinned for x86, whose baseline ISA cannot
+// fuse a multiply-add. The SIMD backends round GEMM's multiply-adds through
+// FMAs (linalg/backend.hpp), avx2 and avx512 alike, so they share one
+// value. The compiler contracts only when it optimizes: an unoptimized
+// build's SIMD backends give the scalar bits. Recorded with GCC 12 and
+// glibc 2.36: another libm's sin/cos tables or another compiler's GEMM
+// contraction can move both values.
+constexpr std::uint64_t kGoldenDigestScalar = 0xced09c8ad383336fULL;
+constexpr std::uint64_t kGoldenDigestX86Simd = 0x61d79181725f6583ULL;
+#if defined(__x86_64__) || defined(__i386__)
+constexpr bool kDigestPinned = true;
+#else
+constexpr bool kDigestPinned = false;
+#endif
+#if defined(__OPTIMIZE__)
+constexpr bool kSimdContracts = true;
+#else
+constexpr bool kSimdContracts = false;
+#endif
+
+TEST(GoldenQuickstart, PinsModelDigest) {
+  if (!kDigestPinned) GTEST_SKIP() << "model digests are pinned for x86 builds only";
+  const bool simd_bits = kSimdContracts && active_backend() != BackendKind::kScalar;
+  Quickstart qs;
+  const SparsifiedModel model = Extractor(*qs.solver, qs.layout).extract(qs.request).model;
+  EXPECT_EQ(sparse_digest(sparse_digest(0xcbf29ce484222325ULL, model.q()), model.gw()),
+            simd_bits ? kGoldenDigestX86Simd : kGoldenDigestScalar)
+      << backend_name(active_backend());
 }
 
 TEST(GoldenQuickstart, RbkKnobsDoNotPerturbTheDeterministicRoute) {

@@ -1,11 +1,13 @@
-// Tests for the transform substrate: FFT vs naive DFT, fast DCT vs its
-// O(N^2) reference, orthogonality/roundtrip properties, 2-D separability,
-// and the fast Poisson solver against direct dense solves.
+// Tests for the transform substrate: the reference FFT (tests/support) vs
+// naive DFT, fast DCT vs its O(N^2) reference and, bit for bit, vs the
+// std::complex Makhoul reference, orthogonality/roundtrip properties, 2-D
+// separability, and the fast Poisson solver against direct dense solves.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -13,8 +15,8 @@
 
 #include "linalg/cholesky.hpp"
 #include "linalg/matrix.hpp"
+#include "support/fft_reference.hpp"
 #include "transform/dct.hpp"
-#include "transform/fft.hpp"
 #include "transform/poisson.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
@@ -524,6 +526,131 @@ TEST(DctPlan, FreeFunctionsRouteThroughPlan) {
   dct_plan(x.size()).dct2(planned.data());
   const auto free_fn = dct2(x);
   for (std::size_t k = 0; k < x.size(); ++k) ASSERT_EQ(planned[k], free_fn[k]);
+}
+
+TEST(DctPlan, DenseTableStridedLineMatchesContiguous) {
+  for (const std::size_t n : {3u, 12u, 24u}) {
+    for (const std::size_t stride : {std::size_t{3}, n}) {
+      for (const bool forward : {true, false}) {
+        const auto line = random_signal(n, 80 + n);
+        std::vector<double> ref = line;
+        std::vector<double> buf((n - 1) * stride + 1, -7.5);
+        for (std::size_t j = 0; j < n; ++j) buf[j * stride] = line[j];
+        forward ? dct_plan(n).dct2(ref.data()) : dct_plan(n).dct3(ref.data());
+        forward ? dct_plan(n).dct2(buf.data(), stride) : dct_plan(n).dct3(buf.data(), stride);
+        for (std::size_t i = 0; i < buf.size(); ++i) {
+          if (i % stride == 0) {
+            ASSERT_EQ(buf[i], ref[i / stride]) << "n=" << n << " stride=" << stride;
+          } else {
+            ASSERT_EQ(buf[i], -7.5) << "n=" << n << " stride=" << stride << " i=" << i;
+          }
+        }
+      }
+    }
+  }
+}
+
+// ------------------------------------- line kernel vs std::complex reference
+
+std::uint64_t bit_pattern(double v) {
+  std::uint64_t b;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
+// Test lines of length n. Kinds 0-4 are finite: normals; normals with
+// signed zeros; all signed zeros; magnitudes from 2^-60 to 2^100 (the fault
+// injector's 2^100 among them); subnormals. Kinds 5-7 put NaNs of one sign
+// among normals (+NaN; -NaN; two -NaNs), kind 8 a +NaN and a -NaN, and
+// kinds 9-10 an infinity of either sign.
+constexpr int kMixedNan = 8, kKinds = 11;
+
+std::vector<double> probe_line(std::size_t n, int kind, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> x(n);
+  for (auto& v : x) v = rng.normal();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto pick = [&] { return static_cast<std::size_t>(rng.below(n)); };
+  switch (kind) {
+    case 1:
+      for (std::size_t j = 0; j < n; j += 3) x[j] = rng.uniform(-1.0, 1.0) < 0.0 ? -0.0 : 0.0;
+      break;
+    case 2:
+      for (auto& v : x) v = rng.uniform(-1.0, 1.0) < 0.0 ? -0.0 : 0.0;
+      break;
+    case 3:
+      for (auto& v : x) v = std::ldexp(v, static_cast<int>(rng.below(161)) - 60);
+      x[pick()] = std::ldexp(1.0, 100);
+      break;
+    case 4:
+      for (auto& v : x) v = std::ldexp(v, -1030 - static_cast<int>(rng.below(40)));
+      break;
+    case 5: x[pick()] = nan; break;
+    case 6: x[pick()] = -nan; break;
+    case 7:
+      x[pick()] = -nan;
+      x[pick()] = -nan;
+      break;
+    case kMixedNan:
+      x[pick()] = nan;
+      x[pick()] = -nan;
+      break;
+    case 9: x[pick()] = inf; break;
+    case 10: x[pick()] = -inf; break;
+    default: break;
+  }
+  return x;
+}
+
+// DctPlan's power-of-two kernel runs the std::complex radix-2 FFT's
+// multiplies and adds in its order, so finite lines and lines whose NaNs
+// share one payload match the Makhoul reference bit for bit (payloads and
+// zero signs included) at every stride, and the entries between a strided
+// line's elements are not touched. Two looser cases, both by design:
+//  - NaNs of both signs: where two NaN payloads meet in one add, IEEE 754
+//    leaves open which one propagates, and x86 returns the first operand,
+//    so the payload follows the compiler's operand order, which differs
+//    between the two code paths. Both sides are NaN at the same outputs.
+//  - Infinities: where a std::complex product comes out NaN + iNaN, its C
+//    Annex G recovery (__muldc3) re-derives an infinity, and the explicit
+//    multiply keeps the NaN. Both sides are non-finite at the same outputs.
+TEST(DctPlan, LineKernelBitIdenticalToComplexFftReference) {
+  constexpr double kSentinel = -123.25;
+  for (std::size_t n = 2; n <= 512; n *= 2) {
+    for (const std::size_t stride : {std::size_t{1}, std::size_t{3}, n}) {
+      std::vector<double> buf((n - 1) * stride + 2 + stride);
+      for (const bool forward : {true, false}) {
+        for (int kind = 0; kind < kKinds; ++kind) {
+          const std::string tag = std::string(forward ? "dct2" : "dct3") +
+                                  " n=" + std::to_string(n) + " stride=" + std::to_string(stride) +
+                                  " kind=" + std::to_string(kind);
+          const auto line = probe_line(n, kind, 1000 * n + 10 * stride + kind);
+          const auto ref = forward ? makhoul_dct2(line) : makhoul_dct3(line);
+          std::fill(buf.begin(), buf.end(), kSentinel);
+          double* x = buf.data() + 1;
+          for (std::size_t j = 0; j < n; ++j) x[j * stride] = line[j];
+          forward ? dct_plan(n).dct2(x, stride) : dct_plan(n).dct3(x, stride);
+          for (std::size_t i = 0; i < buf.size(); ++i) {
+            if (i >= 1 && (i - 1) % stride == 0 && (i - 1) / stride < n) continue;
+            ASSERT_EQ(bit_pattern(buf[i]), bit_pattern(kSentinel)) << tag << " gap i=" << i;
+          }
+          for (std::size_t k = 0; k < n; ++k) {
+            const double got = x[k * stride];
+            if (kind < kMixedNan) {
+              ASSERT_EQ(bit_pattern(got), bit_pattern(ref[k])) << tag << " k=" << k;
+            } else if (kind == kMixedNan) {
+              ASSERT_TRUE(std::isnan(got)) << tag << " k=" << k;
+              ASSERT_TRUE(std::isnan(ref[k])) << tag << " k=" << k;
+            } else {
+              ASSERT_FALSE(std::isfinite(got)) << tag << " k=" << k;
+              ASSERT_FALSE(std::isfinite(ref[k])) << tag << " k=" << k;
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(FftPlan, ForwardMatchesNaiveDft) {
