@@ -124,14 +124,4 @@ inline MethodRow run_lowrank(const SubstrateSolver& solver, const QuadTree& tree
                      {.method = SparsifyMethod::kLowRank});
 }
 
-/// The low-rank pipeline with the randomized block-Krylov row-basis scheme
-/// (every other knob at its default) — the fewer-solves comparison rows of
-/// Tables 4.1-4.3.
-inline MethodRow run_lowrank_rbk(const SubstrateSolver& solver, const QuadTree& tree,
-                                 const ExactColumns& exact, double threshold_multiple) {
-  ExtractionRequest request{.method = SparsifyMethod::kLowRank};
-  request.lowrank.basis = RowBasisScheme::kBlockKrylov;
-  return run_request(solver, tree, exact, threshold_multiple, request);
-}
-
 }  // namespace subspar::bench

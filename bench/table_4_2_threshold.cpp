@@ -23,10 +23,8 @@ void run(const char* name, const char* paper, const Layout& layout, Table& table
   const Extractor engine(*solver, tree);
   const ExactColumns exact = exact_columns(*solver, 1.0);
 
-  // Low-rank, thresholded to ~6x its unthresholded sparsity (§4.6) —
-  // built both ways (deterministic column sampling and block-Krylov).
+  // Low-rank, thresholded to ~6x its unthresholded sparsity (§4.6).
   const MethodRow lr = run_lowrank(*solver, tree, exact, 6.0);
-  const MethodRow rbk = run_lowrank_rbk(*solver, tree, exact, 6.0);
 
   // Wavelet thresholded to the same *absolute* sparsity as the low-rank
   // G_wt (equal-sparsity comparison).
@@ -42,7 +40,6 @@ void run(const char* name, const char* paper, const Layout& layout, Table& table
   table.add_row({name, std::to_string(layout.n_contacts()),
                  Table::fixed(lr.threshold_sparsity, 1),
                  Table::pct(lr.threshold_error.frac_above_10pct, 1),
-                 Table::pct(rbk.threshold_error.frac_above_10pct, 1),
                  std::string(Table::fixed(wt.sparsity_factor(), 1)) +
                      (wavelet_could_not_match ? " (*)" : ""),
                  Table::pct(werr.frac_above_10pct, 1), paper});
@@ -53,8 +50,8 @@ void run(const char* name, const char* paper, const Layout& layout, Table& table
 int main(int argc, char** argv) {
   const bool full = full_mode(argc, argv);
   std::printf("Table 4.2 — thresholded comparison (equal-sparsity wavelet)\n\n");
-  Table table({"example", "n", "sparsity G_wt (LR)", ">10% (LR)", ">10% (RBK)",
-               "sparsity (W)", ">10% (W)", "paper (spLR/fracLR | spW/fracW)"});
+  Table table({"example", "n", "sparsity G_wt (LR)", ">10% (LR)", "sparsity (W)", ">10% (W)",
+               "paper (spLR/fracLR | spW/fracW)"});
   run("1 regular", "23/0.4% | 20/0.8%", example_regular(full), table);
   run("2 alternating", "24/1.0% | 2.5(*)/89%", example_alternating(full), table);
   run("3 mixed shapes", "21/1.4% | 6.6/94%", example_shapes(full), table);

@@ -29,14 +29,12 @@ void run(const char* name, const char* paper, const Layout& layout, Table& table
   const QuadTree tree(layout);
   const ExactColumns exact = exact_columns(*solver, 0.10);  // 10% sample (§4.6)
   const MethodRow lr = run_lowrank(*solver, tree, exact, 6.0);
-  const MethodRow rbk = run_lowrank_rbk(*solver, tree, exact, 6.0);
   table.add_row({name, std::to_string(layout.n_contacts()), Table::fixed(lr.sparsity, 1),
                  Table::pct(lr.error.max_rel_error_significant, 1),
-                 Table::pct(rbk.error.max_rel_error_significant, 1),
                  Table::fixed(lr.threshold_sparsity, 1),
                  Table::pct(lr.threshold_error.frac_above_10pct, 1),
                  Table::fixed(lr.solve_reduction, 1), std::to_string(lr.solves),
-                 std::to_string(rbk.solves), Table::fixed(lr.q_sparsity, 1), paper});
+                 Table::fixed(lr.q_sparsity, 1), paper});
 }
 
 }  // namespace
@@ -48,9 +46,8 @@ int main(int argc, char** argv) {
   if (smoke) std::printf("[--smoke: anchor example only]\n");
   else if (!full) std::printf("[scaled sizes; pass --full for the paper's n = 4096 / 10240]\n");
   std::printf("\n");
-  Table table({"example", "n", "sparsity", "max rel err", "max err RBK", "thresh. sparsity",
-               "frac > 10%", "solve red.", "solves LR", "solves RBK", "sparsity(Q)",
-               "paper (sp/err/thsp/frac/sr)"});
+  Table table({"example", "n", "sparsity", "max rel err", "thresh. sparsity", "frac > 10%",
+               "solve red.", "solves LR", "sparsity(Q)", "paper (sp/err/thsp/frac/sr)"});
   // A smaller anchor point demonstrates the growth trend within one run.
   run("anchor: regular", "-", example_regular(full), table);
   if (!smoke) {

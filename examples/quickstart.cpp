@@ -35,9 +35,9 @@ int main() {
   std::printf("model: %s\n", model.summary().c_str());
 
   //    The report also records every recovery the pipeline took: solver
-  //    restarts, direct-solve fallbacks, RBK sampling-basis fallbacks, and
-  //    quarantined cache files. A clean run prints nothing here; under
-  //    fault injection (SUBSPAR_FAULT) each degradation is listed.
+  //    restarts, direct-solve fallbacks, and quarantined cache files. A
+  //    clean run prints nothing here; under fault injection (SUBSPAR_FAULT)
+  //    each degradation is listed.
   for (const auto& w : extracted.report.warnings)
     std::printf("warning: %s\n", w.c_str());
   for (const auto& f : extracted.report.fallbacks)

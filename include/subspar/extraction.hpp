@@ -46,8 +46,8 @@ struct ExtractionRequest {
   ProgressCallback progress;
   /// Optional cooperative cancellation/deadline token. The Extractor
   /// installs it for the duration of the pipeline and checks it at phase
-  /// boundaries, at every black-box solve batch, and inside the pcg_block /
-  /// RBK iteration loops; a tripped token surfaces as
+  /// boundaries, at every black-box solve batch, and inside the pcg_block
+  /// iteration loop; a tripped token surfaces as
   /// ErrorCode::kCancelled / kDeadlineExceeded. Observational only —
   /// excluded from cache keys, like `progress`.
   std::shared_ptr<CancelToken> cancel;
@@ -98,16 +98,13 @@ struct ExtractionReport {
   double solve_reduction = 0.0;  ///< n / solves that built the model
   bool from_cache = false;       ///< true when served by a ModelCache hit
   std::vector<PhaseTiming> phases;
-  /// How the model's change of basis was built: "wavelet", "column-sampling"
-  /// or "block-krylov" (empty on cache hits, which skip the build).
+  /// How the model's change of basis was built: "wavelet" or
+  /// "column-sampling" (empty on cache hits, which skip the build).
   std::string basis_scheme;
-  /// Adaptive rank trajectory of the kBlockKrylov row-basis build, one entry
-  /// per (level, sketch round); empty for the other schemes.
-  std::vector<RbkStep> rank_trajectory;
   /// One line per degradation the pipeline recovered from (solver fallback
-  /// chains, RBK per-square fallbacks, quarantined cache files). Empty on a
-  /// healthy run — the model is within the deterministic route's error
-  /// bound either way, these record *how* it got there.
+  /// chains, quarantined cache files). Empty on a healthy run — the model
+  /// is within the method's error bound either way, these record *how* it
+  /// got there.
   std::vector<std::string> fallbacks;
   /// Non-fatal advisories (e.g. columns that hit max_iterations but were
   /// recovered); also echoed to stderr as one-line warnings.

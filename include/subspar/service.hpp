@@ -16,7 +16,7 @@
 //  * Deadlines + cooperative cancellation. Each submission may carry a
 //    deadline and/or a caller-held CancelToken; the token is threaded
 //    through the whole pipeline (phase boundaries, every solve batch, the
-//    pcg_block / RBK inner loops) and trips as the typed
+//    pcg_block inner loop) and trips as the typed
 //    kDeadlineExceeded / kCancelled error codes. Cancelling any handle of a
 //    deduplicated job cancels the shared job and releases every waiter.
 //  * Retry with bounded exponential backoff + deterministic jitter. Errors

@@ -9,9 +9,9 @@
 // callers (job engines, services) that prefer error returns over exceptions.
 //
 // Recovered faults are NOT errors: the fallback chains (linalg/robust.hpp,
-// the per-square RBK fallback, the cache quarantine path) report what they
-// did through ExtractionReport::fallbacks and the per-phase diagnostics, and
-// the extraction still succeeds. An ExtractionError means every fallback was
+// the cache quarantine path) report what they did through
+// ExtractionReport::fallbacks and the per-phase diagnostics, and the
+// extraction still succeeds. An ExtractionError means every fallback was
 // exhausted.
 #pragma once
 

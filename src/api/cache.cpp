@@ -62,13 +62,6 @@ std::string model_cache_key(const Layout& layout, const SubstrateStack& stack,
   hash.u64(request.lowrank.max_rank);
   hash.f64(request.lowrank.u_sigma_rel_tol);
   hash.u64(request.lowrank.seed);
-  // The row-basis scheme and every RBK knob digest unconditionally (not just
-  // when basis == kBlockKrylov): keys must separate any two requests whose
-  // option structs differ, so entries never alias across schemes.
-  hash.u64(request.lowrank.basis == RowBasisScheme::kBlockKrylov ? 1 : 0);
-  hash.u64(request.lowrank.rbk.block_size);
-  hash.u64(request.lowrank.rbk.max_iters);
-  hash.f64(request.lowrank.rbk.target_tol);
   hash.f64(request.threshold_sparsity_multiple);
   return hash.hex();
 }

@@ -37,9 +37,6 @@ void validate(const ExtractionRequest& request) {
   SUBSPAR_REQUIRE(request.lowrank.sigma_rel_tol > 0.0 && request.lowrank.sigma_rel_tol <= 1.0);
   SUBSPAR_REQUIRE(request.lowrank.u_sigma_rel_tol > 0.0 &&
                   request.lowrank.u_sigma_rel_tol <= 1.0);
-  SUBSPAR_REQUIRE(request.lowrank.rbk.block_size >= 1);
-  SUBSPAR_REQUIRE(request.lowrank.rbk.max_iters >= 1);
-  SUBSPAR_REQUIRE(request.lowrank.rbk.target_tol > 0.0 && request.lowrank.rbk.target_tol < 1.0);
 }
 
 std::string ExtractionReport::summary() const {
@@ -110,7 +107,7 @@ Status Extractor::try_extract(const ExtractionRequest& request,
 ExtractionResult Extractor::extract_impl(const ExtractionRequest& request) const {
   // Install the request's cancellation token for the whole pipeline: the
   // phase boundaries below, every solve batch (substrate/solver.cpp), and
-  // the pcg_block / RBK loops all check it through the thread-local scope.
+  // the pcg_block loop all check it through the thread-local scope.
   const CancelScope cancel_scope(request.cancel.get());
   cancellation_point("extract-start");
   ExtractionReport report;
@@ -171,18 +168,8 @@ ExtractionResult Extractor::extract_impl(const ExtractionRequest& request) const
     gw = std::move(ex.gws);
     phase_done("combine-extract");
   } else {
-    report.basis_scheme = request.lowrank.basis == RowBasisScheme::kBlockKrylov
-                              ? "block-krylov"
-                              : "column-sampling";
+    report.basis_scheme = "column-sampling";
     const RowBasisRep rep(*solver_, *tree_, request.lowrank);
-    report.rank_trajectory = rep.trajectory();
-    if (rep.rbk_fallback_squares() > 0) {
-      std::ostringstream f;
-      f << "rbk: " << rep.rbk_fallback_squares()
-        << " square(s) never certified and fell back to the deterministic "
-           "sampling basis (trajectory rounds max_iters+1/+2)";
-      report.fallbacks.push_back(f.str());
-    }
     phase_done("row-basis");
     const LowRankBasis basis(rep);
     phase_done("fine-to-coarse");

@@ -50,15 +50,4 @@ SparseMatrix lowrank_fill_gw(const RowBasisRep& rep, const LowRankBasis& basis) 
   return acc.build();
 }
 
-LowRankExtraction lowrank_extract(const SubstrateSolver& solver, const QuadTree& tree,
-                                  LowRankOptions options) {
-  LowRankExtraction out;
-  const long before = solver.solve_count();
-  out.rep = std::make_unique<RowBasisRep>(solver, tree, options);
-  out.basis = std::make_unique<LowRankBasis>(*out.rep);
-  out.gw = lowrank_fill_gw(*out.rep, *out.basis);
-  out.solves = solver.solve_count() - before;
-  return out;
-}
-
 }  // namespace subspar

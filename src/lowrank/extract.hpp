@@ -1,5 +1,5 @@
-// End-to-end low-rank sparsification (§4.2): phase 1 (row basis) + phase 2
-// (fine-to-coarse sweep) + G_w assembly on the conservative pattern.
+// G_w assembly of the low-rank sparsification (§4.2), after phase 1 (row
+// basis) and phase 2 (fine-to-coarse sweep); Extractor runs all three.
 //
 // G_w entries are computed by applying the phase-1 representation to the
 // (sparse) columns of Q and projecting onto the locally-interacting basis
@@ -13,23 +13,11 @@
 // (see docs/ARCHITECTURE.md, "Low-rank G_w fill").
 #pragma once
 
-#include <memory>
-
 #include "lowrank/fine_to_coarse.hpp"
 #include "lowrank/row_basis.hpp"
 #include "wavelet/pattern.hpp"
 
 namespace subspar {
-
-struct LowRankExtraction {
-  std::unique_ptr<RowBasisRep> rep;
-  std::unique_ptr<LowRankBasis> basis;
-  SparseMatrix gw;  ///< pattern-restricted transformed conductance matrix
-  long solves = 0;  ///< black-box solves (all consumed in phase 1)
-};
-
-LowRankExtraction lowrank_extract(const SubstrateSolver& solver, const QuadTree& tree,
-                                  LowRankOptions options = {});
 
 /// G_w assembly given an existing representation and basis.
 SparseMatrix lowrank_fill_gw(const RowBasisRep& rep, const LowRankBasis& basis);

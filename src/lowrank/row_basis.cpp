@@ -1,13 +1,9 @@
 #include "lowrank/row_basis.hpp"
-#include <algorithm>
-#include <cmath>
-#include <memory>
-#include <set>
 
+#include <algorithm>
 
 #include "linalg/qr.hpp"
 #include "linalg/svd.hpp"
-#include "subspar/status.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -105,50 +101,8 @@ RowBasisRep::RowBasisRep(const SubstrateSolver& solver, const QuadTree& tree,
     : tree_(&tree), options_(options) {
   SUBSPAR_REQUIRE(options.max_rank >= 1);
   const long before = solver.solve_count();
-  if (options_.basis == RowBasisScheme::kBlockKrylov) {
-    // Level 2 probes solve directly (responses are full contact vectors);
-    // finer levels go through the splitting method like the deterministic
-    // build. Phase-2 machinery (finest W blocks) is shared.
-    build_rbk_level(2, [&](const std::map<SquareId, Matrix>& batches) {
-      const std::size_t n = tree_->layout().n_contacts();
-      auto spans = std::make_shared<std::map<SquareId, std::pair<std::size_t, std::size_t>>>();
-      std::size_t total = 0;
-      for (const auto& [t, x] : batches) {
-        spans->emplace(t, std::make_pair(total, x.cols()));
-        total += x.cols();
-      }
-      Matrix rhs(n, total);
-      for (const auto& [t, x] : batches) {
-        const auto& ids = contacts(t);
-        const std::size_t off = spans->at(t).first;
-        for (std::size_t c = 0; c < x.cols(); ++c)
-          for (std::size_t i = 0; i < ids.size(); ++i) rhs(ids[i], off + c) = x(i, c);
-      }
-      auto resp = std::make_shared<Matrix>(total > 0 ? solver.solve_many(rhs) : Matrix(n, 0));
-      return [this, spans, resp](const SquareId& t, const SquareId& q) {
-        const auto [off, width] = spans->at(t);
-        const auto& qids = contacts(q);
-        Matrix out(qids.size(), width);
-        for (std::size_t c = 0; c < width; ++c)
-          for (std::size_t i = 0; i < qids.size(); ++i) out(i, c) = (*resp)(qids[i], off + c);
-        return out;
-      };
-    });
-    for (int lev = 3; lev <= tree.max_level(); ++lev) {
-      build_rbk_level(lev, [&, lev](const std::map<SquareId, Matrix>& batches) {
-        auto resp = std::make_shared<std::map<SquareId, ResponseBlocks>>(
-            split_responses(solver, lev, batches));
-        return [this, resp, lev](const SquareId& t, const SquareId& q) {
-          const SquareId qc = tree_->ancestor(q, lev - 1);
-          const Matrix& block = resp->at(t).at(qc);
-          return restrict_rows(block, positions_in(contacts(q), contacts(qc)));
-        };
-      });
-    }
-  } else {
-    build_level2(solver);
-    for (int lev = 3; lev <= tree.max_level(); ++lev) build_level(solver, lev);
-  }
+  build_level2(solver);
+  for (int lev = 3; lev <= tree.max_level(); ++lev) build_level(solver, lev);
   build_finest(solver);
   solves_ = solver.solve_count() - before;
 }
@@ -374,277 +328,6 @@ std::map<SquareId, RowBasisRep::ResponseBlocks> RowBasisRep::split_responses(
     }
   }
   return out;
-}
-
-// ------------------------------------------------ randomized block-Krylov
-
-std::vector<SquareId> RowBasisRep::rbk_sample_sources(const SquareId& s) const {
-  std::vector<SquareId> sources = tree_->interactive(s);
-  if (sources.empty() && s.level == 2) {
-    // Same degenerate-layout fallback as build_level2: sample from every
-    // non-local square.
-    for (const SquareId& t : tree_->squares(2))
-      if (!QuadTree::adjacent_or_same(t, s)) sources.push_back(t);
-  }
-  return sources;
-}
-
-void RowBasisRep::build_rbk_level(int level, const RbkOracle& oracle) {
-  const QuadTree& tree = *tree_;
-  const RbkOptions& rbk = options_.rbk;
-  SUBSPAR_REQUIRE(rbk.block_size >= 1 && rbk.max_iters >= 1);
-  SUBSPAR_REQUIRE(rbk.target_tol > 0.0 && rbk.target_tol < 1.0);
-
-  struct State {
-    std::vector<SquareId> sources;
-    Matrix basis;
-    Matrix samples;
-    bool fullrank = false;  // n_s <= max_rank: identity basis, no sketch
-    bool done = false;
-  };
-  std::map<SquareId, State> states;
-  const auto squares = tree.squares(level);
-  for (const SquareId& s : squares) {
-    const std::size_t ns = contacts(s).size();
-    State st;
-    st.sources = rbk_sample_sources(s);
-    st.fullrank = ns <= options_.max_rank;
-    st.basis = st.fullrank ? Matrix::identity(ns) : Matrix(ns, 0);
-    st.samples = Matrix(ns, 0);
-    states.emplace(s, std::move(st));
-  }
-
-  // Columns polluted by non-finite values (possible only when fault
-  // injection slips a corrupted solve past the solver's own guards) are
-  // dropped before they can poison the SVD; the affected square fails the
-  // round's certification and retries or falls back instead.
-  const auto drop_nonfinite = [](Matrix m, std::size_t* dropped) {
-    std::vector<std::size_t> keep;
-    for (std::size_t j = 0; j < m.cols(); ++j) {
-      bool ok = true;
-      for (std::size_t i = 0; i < m.rows() && ok; ++i) ok = std::isfinite(m(i, j));
-      if (ok) keep.push_back(j);
-    }
-    if (keep.size() == m.cols()) return m;
-    *dropped += m.cols() - keep.size();
-    Matrix out(m.rows(), keep.size());
-    for (std::size_t c = 0; c < keep.size(); ++c)
-      for (std::size_t i = 0; i < m.rows(); ++i) out(i, c) = m(i, keep[c]);
-    return out;
-  };
-
-  // Rank fill from the sketch spectrum uses the same sigma_rel_tol ratio
-  // test as the deterministic build, so kept ranks (and G_w accuracy) track
-  // it; target_tol only drives the accept/refine certification.
-  const auto refine = [&](State& st, std::size_t ns) {
-    const Svd dec = svd(st.samples);
-    const std::size_t r =
-        std::min({numerical_rank(dec.sigma, options_.sigma_rel_tol), options_.max_rank, ns});
-    st.basis = dec.u.block(0, 0, ns, r);
-  };
-  const auto record_step = [&](int round, std::size_t probe_cols, std::size_t active,
-                               double max_resid) {
-    RbkStep step;
-    step.level = level;
-    step.round = round;
-    step.probe_columns = probe_cols;
-    step.active_blocks = active;
-    double sum = 0.0;
-    for (const SquareId& s : squares) {
-      const std::size_t r = states.at(s).basis.cols();
-      step.max_rank = std::max(step.max_rank, r);
-      sum += static_cast<double>(r);
-    }
-    step.mean_rank = squares.empty() ? 0.0 : sum / static_cast<double>(squares.size());
-    step.max_residual = max_resid;
-    trajectory_.push_back(step);
-  };
-
-  // Round 0: the Gaussian sketch, only for squares above the rank cap —
-  // full-rank squares take the exact identity basis and skip the sampling
-  // pass entirely (below level 2 this removes every sample solve on the
-  // paper's grids).
-  std::vector<SquareId> sketching;
-  for (const SquareId& s : squares)
-    if (!states.at(s).fullrank && !states.at(s).sources.empty()) sketching.push_back(s);
-  if (!sketching.empty()) {
-    std::set<SquareId> probe_set;
-    for (const SquareId& s : sketching)
-      for (const SquareId& t : states.at(s).sources) probe_set.insert(t);
-    std::map<SquareId, Matrix> batches;
-    std::size_t probe_cols = 0;
-    for (const SquareId& t : probe_set) {
-      Matrix omega = rbk_gaussian_probes(contacts(t).size(), rbk.block_size,
-                                         rbk_stream_seed(options_.seed, level, 0, t.ix, t.iy));
-      probe_cols += omega.cols();
-      batches.emplace(t, std::move(omega));
-    }
-    const RbkBlockFn block = oracle(batches);
-    for (const SquareId& s : sketching) {
-      State& st = states.at(s);
-      for (const SquareId& t : st.sources) st.samples = Matrix::hcat(st.samples, block(t, s));
-      refine(st, contacts(s).size());
-    }
-    record_step(0, probe_cols, sketching.size(), 1.0);
-  }
-
-  // Krylov rounds. Every pending square places its candidate basis, so the
-  // round doubles as the basis-response recording pass AND as fresh sample
-  // generation for the interactive neighbors — certification costs no
-  // extra solves in the happy path. Sources of squares that failed the
-  // previous certification append fresh Gaussian columns after their
-  // candidates for an independent retry.
-  std::set<SquareId> failed_prev;
-  for (std::size_t round = 1; round <= rbk.max_iters; ++round) {
-    std::vector<SquareId> pending;
-    for (const SquareId& s : squares)
-      if (!states.at(s).done) pending.push_back(s);
-    if (pending.empty()) break;
-
-    std::set<SquareId> fresh_set;
-    for (const SquareId& s : failed_prev)
-      for (const SquareId& t : states.at(s).sources) fresh_set.insert(t);
-
-    std::map<SquareId, Matrix> batches;
-    std::size_t probe_cols = 0;
-    for (const SquareId& t : squares) {
-      const State& st = states.at(t);
-      Matrix batch = st.done ? Matrix(contacts(t).size(), 0) : st.basis;
-      if (fresh_set.count(t) > 0) {
-        const Matrix fresh = rbk_gaussian_probes(
-            contacts(t).size(), rbk.block_size,
-            rbk_stream_seed(options_.seed, level, static_cast<int>(round), t.ix, t.iy));
-        batch = Matrix::hcat(batch, fresh);
-      }
-      // Pending squares participate even with zero columns so their (empty)
-      // response blocks get recorded like the deterministic build's.
-      if (batch.cols() > 0 || !st.done) {
-        probe_cols += batch.cols();
-        batches.emplace(t, std::move(batch));
-      }
-    }
-    const RbkBlockFn block = oracle(batches);
-
-    std::set<SquareId> failed_now;
-    double max_resid = 0.0;
-    for (const SquareId& s : pending) {
-      State& st = states.at(s);
-      const std::size_t ns = contacts(s).size();
-      Matrix fresh_samples(ns, 0);
-      for (const SquareId& t : st.sources) {
-        const auto it = batches.find(t);
-        if (it != batches.end() && it->second.cols() > 0)
-          fresh_samples = Matrix::hcat(fresh_samples, block(t, s));
-      }
-      std::size_t dropped = 0;
-      fresh_samples = drop_nonfinite(std::move(fresh_samples), &dropped);
-      const double resid =
-          fresh_samples.cols() > 0 ? rbk_subspace_residual(st.basis, fresh_samples) : 0.0;
-      max_resid = std::max(max_resid, resid);
-      // Accept on certification, when the rank budget is saturated (more
-      // rounds cannot widen the basis, and the one-shot sketch at the cap
-      // already matches the deterministic build's quality), or at sample
-      // starvation (no source placed probes). A square that exhausts
-      // max_iters without certifying no longer accepts its last candidate
-      // silently — it takes the deterministic per-square fallback below.
-      const bool saturated = st.basis.cols() >= std::min(options_.max_rank, ns);
-      if (dropped == 0 && (resid <= rbk.target_tol || saturated)) {
-        SquareRep rep;
-        rep.v = st.basis;
-        auto region = tree.local(s);
-        for (const SquareId& q : tree.interactive(s)) region.push_back(q);
-        for (const SquareId& q : region) {
-          const Matrix resp = block(s, q);
-          rep.response.emplace(q, resp.block(0, 0, resp.rows(), st.basis.cols()));
-        }
-        reps_.emplace(s, std::move(rep));
-        st.done = true;
-      } else {
-        st.samples = Matrix::hcat(st.samples, fresh_samples);
-        refine(st, ns);
-        failed_now.insert(s);
-      }
-    }
-    record_step(static_cast<int>(round), probe_cols, pending.size(), max_resid);
-    failed_prev = std::move(failed_now);
-  }
-
-  // Per-square deterministic fallback: a square whose certification never
-  // passed rebuilds its basis from scratch out of one seeded probe column
-  // per source — the kColumnSampling scheme's sampling rule — discarding
-  // every Krylov sample, then records responses to that basis in a second
-  // pass. Bit-reproducible for a fixed seed, independent of how the Krylov
-  // rounds failed. Healthy builds never reach this (certification passes
-  // within max_iters on the paper's grids), so the happy-path solve count
-  // is unchanged.
-  std::vector<SquareId> unresolved;
-  for (const SquareId& s : squares)
-    if (!states.at(s).done) unresolved.push_back(s);
-  if (!unresolved.empty()) {
-    rbk_fallback_squares_ += static_cast<long>(unresolved.size());
-    const int fb_round = static_cast<int>(rbk.max_iters) + 1;
-
-    // Sampling pass: one raw probe column per source of an unresolved square.
-    std::set<SquareId> probe_set;
-    for (const SquareId& s : unresolved)
-      for (const SquareId& t : states.at(s).sources) probe_set.insert(t);
-    std::map<SquareId, Matrix> fb_batches;
-    std::size_t fb_cols = 0;
-    for (const SquareId& t : probe_set) {
-      Matrix omega = rbk_gaussian_probes(
-          contacts(t).size(), 1,
-          rbk_stream_seed(options_.seed, level, fb_round, t.ix, t.iy));
-      fb_cols += omega.cols();
-      fb_batches.emplace(t, std::move(omega));
-    }
-    const RbkBlockFn fb_block = oracle(fb_batches);
-    double fb_resid = 0.0;
-    for (const SquareId& s : unresolved) {
-      State& st = states.at(s);
-      const std::size_t ns = contacts(s).size();
-      Matrix samples(ns, 0);
-      for (const SquareId& t : st.sources) samples = Matrix::hcat(samples, fb_block(t, s));
-      std::size_t dropped = 0;
-      st.samples = drop_nonfinite(std::move(samples), &dropped);
-      refine(st, ns);
-      fb_resid = std::max(fb_resid, st.samples.cols() > 0
-                                        ? rbk_subspace_residual(st.basis, st.samples)
-                                        : 0.0);
-    }
-    record_step(fb_round, fb_cols, unresolved.size(), fb_resid);
-
-    // Recording pass: responses to the fallback bases over each square's
-    // local-plus-interactive region.
-    std::map<SquareId, Matrix> rec_batches;
-    std::size_t rec_cols = 0;
-    for (const SquareId& s : unresolved) {
-      rec_cols += states.at(s).basis.cols();
-      rec_batches.emplace(s, states.at(s).basis);
-    }
-    const RbkBlockFn rec_block = oracle(rec_batches);
-    for (const SquareId& s : unresolved) {
-      State& st = states.at(s);
-      SquareRep rep;
-      rep.v = st.basis;
-      auto region = tree.local(s);
-      for (const SquareId& q : tree.interactive(s)) region.push_back(q);
-      for (const SquareId& q : region) {
-        const Matrix resp = rec_block(s, q);
-        for (std::size_t j = 0; j < resp.cols(); ++j)
-          for (std::size_t i = 0; i < resp.rows(); ++i)
-            if (!std::isfinite(resp(i, j)))
-              throw ExtractionException(
-                  {ErrorCode::kNumericalBreakdown, "row-basis",
-                   "non-finite response block recorded for the fallback basis of square (" +
-                       std::to_string(s.ix) + ", " + std::to_string(s.iy) + ") at level " +
-                       std::to_string(level)});
-        rep.response.emplace(q, resp.block(0, 0, resp.rows(), st.basis.cols()));
-      }
-      reps_.emplace(s, std::move(rep));
-      st.done = true;
-    }
-    record_step(fb_round + 1, rec_cols, unresolved.size(), fb_resid);
-  }
 }
 
 // ---------------------------------------------------------- finer levels

@@ -17,13 +17,11 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <vector>
 
 #include "geometry/quadtree.hpp"
 #include "linalg/matrix.hpp"
-#include "lowrank/rbk_basis.hpp"
 #include "substrate/solver.hpp"
 
 namespace subspar {
@@ -37,8 +35,6 @@ struct LowRankOptions {
   /// spectra decay like Fig. 4-3, a tighter tolerance fills the max_rank
   /// budget at negligible extra cost and buys ~30x lower representation
   /// error, so that is the default here (ablated in bench/ablation_rank).
-  /// Both schemes fill ranks with it (kBlockKrylov in tail-energy form);
-  /// kBlockKrylov stops refining from rbk.target_tol.
   double sigma_rel_tol = 1e-4;
   /// Row-basis width cap (paper: 6, matching the p = 2 moment count).
   std::size_t max_rank = 6;
@@ -46,15 +42,9 @@ struct LowRankOptions {
   /// slow-decaying leftovers lean, which controls the density of the
   /// root-level rows of G_w.
   double u_sigma_rel_tol = 1e-2;
-  /// Seed for the random sample vectors of §4.3.3 and the RBK Gaussian
-  /// probes (runs are deterministic for a fixed seed either way).
+  /// Seed for the random sample vectors of §4.3.3 (runs are deterministic
+  /// for a fixed seed).
   std::uint64_t seed = 12345;
-  /// How the per-square row bases are built: the paper's deterministic
-  /// column sampling, or randomized block-Krylov sketching with adaptive
-  /// rank control (fewer black-box solves; see lowrank/rbk_basis.hpp).
-  RowBasisScheme basis = RowBasisScheme::kColumnSampling;
-  /// Knobs of the kBlockKrylov scheme (ignored by kColumnSampling).
-  RbkOptions rbk;
 };
 
 /// The multilevel row-basis representation of G (phase 1, §4.3). Building it
@@ -70,14 +60,6 @@ class RowBasisRep {
   const LowRankOptions& options() const { return options_; }
   /// Black-box solves consumed by the construction.
   long solves() const { return solves_; }
-  /// Adaptive rank trajectory of the kBlockKrylov scheme: one entry per
-  /// (level, sketch round). Empty for kColumnSampling builds.
-  const std::vector<RbkStep>& trajectory() const { return trajectory_; }
-  /// Squares whose kBlockKrylov certification never passed within
-  /// rbk.max_iters rounds and that fell back to the deterministic
-  /// one-probe-per-source sampling basis (rounds max_iters+1/+2 in the
-  /// trajectory). 0 on a healthy build and always 0 for kColumnSampling.
-  long rbk_fallback_squares() const { return rbk_fallback_squares_; }
 
   /// Approximate G v through the multilevel representation (§4.3.2): the
   /// sum of the subtree responses of v's level-2 blocks.
@@ -123,23 +105,6 @@ class RowBasisRep {
   void build_level(const SubstrateSolver& solver, int level);
   void build_finest(const SubstrateSolver& solver);
 
-  /// Reads the response of source square t's probe batch, restricted to the
-  /// contacts of square q (rows ordered like contacts(q), one column per
-  /// probe column). Built per sketch round by the level oracles below.
-  using RbkBlockFn = std::function<Matrix(const SquareId& t, const SquareId& q)>;
-  /// Issues the black-box solves for one round of per-square probe batches
-  /// and returns the block accessor over the responses.
-  using RbkOracle = std::function<RbkBlockFn(const std::map<SquareId, Matrix>& batches)>;
-
-  /// The block-Krylov basis build of one level (rbk_basis.hpp): Gaussian
-  /// sketch round for squares above the rank cap, then adaptive
-  /// probe/certify/refine rounds that double as the basis-response
-  /// recording pass.
-  void build_rbk_level(int level, const RbkOracle& oracle);
-  /// Sample sources of a square: its interactive region, with the level-2
-  /// degenerate-layout fallback to every non-local square.
-  std::vector<SquareId> rbk_sample_sources(const SquareId& s) const;
-
   /// The splitting method (§4.3.3): responses to per-square column batches
   /// x_s (columns over contacts(s), level `level` >= 3), each returned over
   /// the local squares of its parent. Uses the parent-level representation
@@ -154,8 +119,6 @@ class RowBasisRep {
   const QuadTree* tree_;
   LowRankOptions options_;
   long solves_ = 0;
-  long rbk_fallback_squares_ = 0;
-  std::vector<RbkStep> trajectory_;
   std::map<SquareId, SquareRep> reps_;
   std::map<SquareId, Matrix> finest_w_;
   std::map<std::pair<SquareId, SquareId>, Matrix> finest_g_;  // key (q, s)

@@ -5,9 +5,9 @@
 // extraction side never polls the token directly: the Extractor installs the
 // request's token into a thread-local CancelScope for the duration of the
 // pipeline, and the long loops deep in the stack (pcg_block iterations,
-// RBK sketch rounds, every black-box solve_many batch) call
-// cancellation_point(), which is a single thread-local load when no token is
-// installed — the uncancellable fast path costs nothing measurable.
+// every black-box solve_many batch) call cancellation_point(), which is a
+// single thread-local load when no token is installed — the uncancellable
+// fast path costs nothing measurable.
 //
 // Cancellation and deadline expiry surface as the typed exceptions below;
 // Extractor::extract maps them to ErrorCode::kCancelled /

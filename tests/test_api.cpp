@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <iterator>
 #include <stdexcept>
 
 #include "subspar/subspar.hpp"
@@ -212,10 +213,20 @@ TEST(ModelCacheTest, DifferentRequestsAndSolversGetDifferentKeys) {
   const Layout layout = regular_grid_layout(4);
   const SubstrateStack stack = tiny_stack();
   const ExtractionRequest a{};
-  const ExtractionRequest b{.method = SparsifyMethod::kWavelet};
-  const ExtractionRequest c{.lowrank = {.seed = 999}};
-  EXPECT_NE(model_cache_key(layout, stack, a), model_cache_key(layout, stack, b));
-  EXPECT_NE(model_cache_key(layout, stack, a), model_cache_key(layout, stack, c));
+  // One request per hashed request field, each differing from the default
+  // in that field alone: every one must key apart from it.
+  const ExtractionRequest variants[] = {
+      {.method = SparsifyMethod::kWavelet},
+      {.moment_order = 3},
+      {.lowrank = {.sigma_rel_tol = 1e-3}},
+      {.lowrank = {.max_rank = 5}},
+      {.lowrank = {.u_sigma_rel_tol = 1e-3}},
+      {.lowrank = {.seed = 999}},
+      {.threshold_sparsity_multiple = 6.0},
+  };
+  for (std::size_t i = 0; i < std::size(variants); ++i)
+    EXPECT_NE(model_cache_key(layout, stack, a), model_cache_key(layout, stack, variants[i]))
+        << "variant " << i;
   EXPECT_NE(model_cache_key(layout, stack, a, "surface"),
             model_cache_key(layout, stack, a, "fd"));
   // Same solver kind, different construction options: cache_tag() keys them

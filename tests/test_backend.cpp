@@ -509,12 +509,6 @@ TEST(GoldenBackend, QuickstartPinsUnchangedUnderEveryBackend) {
     EXPECT_EQ(ex.model.gw().nnz(), 6090u);
     EXPECT_EQ(ex.model.q().nnz(), 3184u);
     EXPECT_EQ(ex.report.backend, backend_name(kind));
-
-    ExtractionRequest rbk = request;
-    rbk.lowrank.basis = RowBasisScheme::kBlockKrylov;
-    const ExtractionResult ex_rbk = Extractor(*solver, layout).extract(rbk);
-    EXPECT_EQ(ex_rbk.report.solves, 279);
-    EXPECT_EQ(ex_rbk.report.basis_scheme, "block-krylov");
   }
 }
 

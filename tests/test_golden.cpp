@@ -1,8 +1,7 @@
 // Golden regression pins for the quickstart pipeline (the exact numbers a
 // fresh checkout prints from examples/quickstart.cpp). These values are the
-// contract that refactors of the extraction internals — including the
-// selectable row-basis scheme — must not perturb: the deterministic
-// column-sampling route stays bit-for-bit what it was at the seed.
+// contract that refactors of the extraction internals must not perturb: the
+// column-sampling row basis stays bit-for-bit what it was at the seed.
 //
 // If a change legitimately alters them (an accuracy improvement, a solver
 // change), update the constants here in the same commit and say why.
@@ -40,7 +39,6 @@ TEST(GoldenQuickstart, PinsSolveCountSparsityAndResidual) {
   EXPECT_EQ(ex.report.solves, kGoldenSolves);
   EXPECT_EQ(ex.report.n, 256u);
   EXPECT_EQ(ex.report.basis_scheme, "column-sampling");
-  EXPECT_TRUE(ex.report.rank_trajectory.empty());
   EXPECT_EQ(model.gw().nnz(), kGoldenGwNnz);
   EXPECT_EQ(model.q().nnz(), kGoldenQNnz);
   EXPECT_NEAR(ex.report.gw_sparsity, kGoldenGwSparsity, 1e-12);
@@ -114,78 +112,6 @@ TEST(GoldenQuickstart, PinsModelDigest) {
   EXPECT_EQ(sparse_digest(sparse_digest(0xcbf29ce484222325ULL, model.q()), model.gw()),
             simd_bits ? kGoldenDigestX86Simd : kGoldenDigestScalar)
       << backend_name(active_backend());
-}
-
-TEST(GoldenQuickstart, RbkKnobsDoNotPerturbTheDeterministicRoute) {
-  // A request that selects column sampling but carries exotic RBK knobs must
-  // produce the identical model: the knobs are dead weight for this scheme.
-  Quickstart qs;
-  ExtractionRequest tweaked = qs.request;
-  tweaked.lowrank.rbk.block_size = 5;
-  tweaked.lowrank.rbk.max_iters = 9;
-  tweaked.lowrank.rbk.target_tol = 0.5;
-
-  const ExtractionResult base = Extractor(*qs.solver, qs.layout).extract(qs.request);
-  const ExtractionResult same = Extractor(*qs.solver, qs.layout).extract(tweaked);
-  EXPECT_EQ(base.report.solves, same.report.solves);
-  ASSERT_EQ(base.model.gw().nnz(), same.model.gw().nnz());
-  ASSERT_EQ(base.model.q().nnz(), same.model.q().nnz());
-  Rng rng(31);
-  Vector v(qs.layout.n_contacts());
-  for (auto& x : v) x = rng.uniform(-1.0, 1.0);
-  const Vector ya = base.model.apply(v);
-  const Vector yb = same.model.apply(v);
-  for (std::size_t i = 0; i < v.size(); ++i) EXPECT_EQ(ya[i], yb[i]) << "row " << i;
-}
-
-TEST(GoldenQuickstart, CacheKeysNeverAliasAcrossBasisSchemes) {
-  // Same request modulo the scheme/knobs: every variant must key differently,
-  // so a ModelCache can hold RBK and sampling models side by side.
-  Quickstart qs;
-  ExtractionRequest rbk = qs.request;
-  rbk.lowrank.basis = RowBasisScheme::kBlockKrylov;
-  const std::string tag = qs.solver->cache_tag();
-  const std::string k_det = model_cache_key(qs.layout, qs.stack, qs.request, tag);
-  const std::string k_rbk = model_cache_key(qs.layout, qs.stack, rbk, tag);
-  EXPECT_NE(k_det, k_rbk);
-
-  ExtractionRequest tweaked = rbk;
-  tweaked.lowrank.rbk.block_size = 2;
-  EXPECT_NE(model_cache_key(qs.layout, qs.stack, tweaked, tag), k_rbk);
-  tweaked = rbk;
-  tweaked.lowrank.rbk.max_iters = 4;
-  EXPECT_NE(model_cache_key(qs.layout, qs.stack, tweaked, tag), k_rbk);
-  tweaked = rbk;
-  tweaked.lowrank.rbk.target_tol = 1e-2;
-  EXPECT_NE(model_cache_key(qs.layout, qs.stack, tweaked, tag), k_rbk);
-
-  // The knobs also separate keys when the scheme is column sampling (the
-  // digest is unconditional), so no future scheme flip can collide.
-  ExtractionRequest det_tweaked = qs.request;
-  det_tweaked.lowrank.rbk.block_size = 2;
-  EXPECT_NE(model_cache_key(qs.layout, qs.stack, det_tweaked, tag), k_det);
-}
-
-TEST(GoldenQuickstart, RbkRequestThroughThePublicPipeline) {
-  // The selectable scheme end to end: fewer solves than the golden constant,
-  // a populated trajectory, and an apply residual in the same band.
-  Quickstart qs;
-  ExtractionRequest request = qs.request;
-  request.lowrank.basis = RowBasisScheme::kBlockKrylov;
-  const ExtractionResult ex = Extractor(*qs.solver, qs.layout).extract(request);
-
-  EXPECT_EQ(ex.report.basis_scheme, "block-krylov");
-  EXPECT_LT(ex.report.solves, kGoldenSolves);
-  EXPECT_FALSE(ex.report.rank_trajectory.empty());
-
-  Rng rng(2024);
-  Vector v(qs.layout.n_contacts());
-  for (auto& x : v) x = rng.uniform(-0.5, 0.5);
-  const double resid =
-      norm2(ex.model.apply(v) - qs.solver->solve(v)) / norm2(qs.solver->solve(v));
-  // The residual is dominated by the shared thresholding phases; the
-  // randomized basis must stay in the same accuracy band.
-  EXPECT_LT(resid, 2.0 * kGoldenResidual);
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Tests for the low-rank sparsifier: singular-value decay premise
 // (Fig. 4-3), row-basis fidelity, the apply-operator of §4.3.2, the
 // fine-to-coarse sweep, the G_w fill (bit for bit against a per-column
-// whole-tree fill), and end-to-end accuracy including the mixed-size
-// layouts where the wavelet method fails (Tables 4.1/4.2).
+// whole-tree fill), bit-identical row bases across runs and thread counts,
+// and end-to-end accuracy including the mixed-size layouts where the
+// wavelet method fails (Tables 4.1/4.2).
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -15,6 +16,8 @@
 #include "lowrank/extract.hpp"
 #include "substrate/eigen_solver.hpp"
 #include "substrate/solver.hpp"
+#include "subspar/extraction.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "wavelet/basis.hpp"
 #include "wavelet/extract.hpp"
@@ -167,24 +170,25 @@ TEST(LowRankBasis, ColumnCountEqualsContacts) {
 
 TEST(LowRankExtract, GwSymmetricAndPatternRestricted) {
   LowRankFixture f(regular_grid_layout(8));
-  const LowRankExtraction ex = lowrank_extract(f.solver, f.tree);
-  const Matrix d = ex.gw.to_dense();
+  const RowBasisRep rep(f.solver, f.tree);
+  const LowRankBasis basis(rep);
+  const SparseMatrix gw = lowrank_fill_gw(rep, basis);
+  const Matrix d = gw.to_dense();
   EXPECT_LT((d - d.transposed()).max_abs(), 1e-10 * d.max_abs());
-  const WaveletPattern pattern(*ex.basis);
-  for (const auto& [i, j] : ex.gw.coordinates()) EXPECT_TRUE(pattern.allowed(i, j));
+  const WaveletPattern pattern(basis);
+  for (const auto& [i, j] : gw.coordinates()) EXPECT_TRUE(pattern.allowed(i, j));
 }
 
 TEST(LowRankExtract, AccurateOnRegularGrid) {
   LowRankFixture f(regular_grid_layout(16));
   const Matrix g = extract_dense(f.solver);
-  f.solver.reset_solve_count();
-  const LowRankExtraction ex = lowrank_extract(f.solver, f.tree);
-  const ErrorStats err = reconstruction_error(ex.basis->q(), ex.gw, g);
+  const ExtractionResult ex = Extractor(f.solver, f.tree).extract();
+  const ErrorStats err = reconstruction_error(ex.model.q(), ex.model.gw(), g);
   EXPECT_LT(err.max_rel_error, 0.10);
   // The solve count grows like O(log n) with a sizable constant: at n = 256
   // it is still below 2n, and the reduction factor grows with n (Table 4.3
   // shape, exercised by bench/table_4_3_large).
-  EXPECT_LT(ex.solves, 2 * static_cast<long>(f.layout.n_contacts()));
+  EXPECT_LT(ex.report.solves, 2 * static_cast<long>(f.layout.n_contacts()));
 }
 
 TEST(LowRankExtract, FarBetterThanWaveletOnAlternatingSizes) {
@@ -196,30 +200,29 @@ TEST(LowRankExtract, FarBetterThanWaveletOnAlternatingSizes) {
   const WaveletBasis wbasis(f.tree);
   const WaveletExtraction wex = wavelet_extract_combined(f.solver, wbasis);
   const ErrorStats werr = reconstruction_error(wbasis.q(), wex.gws, g);
-  const LowRankExtraction ex = lowrank_extract(f.solver, f.tree);
-  const ErrorStats lerr = reconstruction_error(ex.basis->q(), ex.gw, g);
+  const SparsifiedModel model = Extractor(f.solver, f.tree).extract().model;
+  const ErrorStats lerr = reconstruction_error(model.q(), model.gw(), g);
   EXPECT_LT(lerr.max_rel_error, 0.5 * werr.max_rel_error);
   EXPECT_LT(lerr.frac_above_10pct, 0.5 * werr.frac_above_10pct);
-  EXPECT_GT(ex.gw.sparsity_factor(), wex.gws.sparsity_factor());
+  EXPECT_GT(model.gw().sparsity_factor(), wex.gws.sparsity_factor());
 }
 
 TEST(LowRankExtract, HandlesMixedShapes) {
   LowRankFixture f(mixed_shapes_layout(16, 9));
   const Matrix g = extract_dense(f.solver);
-  f.solver.reset_solve_count();
-  const LowRankExtraction ex = lowrank_extract(f.solver, f.tree);
-  const ErrorStats err = reconstruction_error(ex.basis->q(), ex.gw, g);
+  const SparsifiedModel model = Extractor(f.solver, f.tree).extract().model;
+  const ErrorStats err = reconstruction_error(model.q(), model.gw(), g);
   EXPECT_LT(err.frac_above_10pct, 0.05);
 }
 
 TEST(LowRankExtract, ThresholdingKeepsMostEntriesAccurate) {
   LowRankFixture f(regular_grid_layout(16));
   const Matrix g = extract_dense(f.solver);
-  const LowRankExtraction ex = lowrank_extract(f.solver, f.tree);
-  const SparseMatrix gwt = threshold_to_nnz(ex.gw, ex.gw.nnz() / 6);
-  const ErrorStats err = reconstruction_error(ex.basis->q(), gwt, g);
+  const SparsifiedModel model = Extractor(f.solver, f.tree).extract().model;
+  const SparseMatrix gwt = threshold_to_nnz(model.gw(), model.gw().nnz() / 6);
+  const ErrorStats err = reconstruction_error(model.q(), gwt, g);
   EXPECT_LT(err.frac_above_10pct, 0.10);
-  EXPECT_GT(gwt.sparsity_factor(), 5.0 * ex.gw.sparsity_factor());
+  EXPECT_GT(gwt.sparsity_factor(), 5.0 * model.gw().sparsity_factor());
 }
 
 // The whole-tree apply of §4.3.2 over the public accessors: eq. 4.16 for
@@ -291,7 +294,6 @@ SparseMatrix per_column_fill(const RowBasisRep& rep, const LowRankBasis& basis) 
 struct FillCase {
   const char* name;
   Layout (*layout)();
-  RowBasisScheme scheme;
 };
 
 void PrintTo(const FillCase& c, std::ostream* os) { *os << c.name; }
@@ -304,7 +306,7 @@ TEST_P(BitwiseFill, SubtreeFillEqualsPerColumnWholeTreeFill) {
   // it skips are zero on the recorded rows; the ones it keeps are summed in
   // the same order).
   LowRankFixture f(GetParam().layout());
-  const RowBasisRep rep(f.solver, f.tree, {.basis = GetParam().scheme});
+  const RowBasisRep rep(f.solver, f.tree);
   const LowRankBasis basis(rep);
   const SparseMatrix fast = lowrank_fill_gw(rep, basis);
   const SparseMatrix ref = per_column_fill(rep, basis);
@@ -325,22 +327,10 @@ TEST_P(BitwiseFill, SubtreeFillEqualsPerColumnWholeTreeFill) {
 INSTANTIATE_TEST_SUITE_P(
     Layouts, BitwiseFill,
     ::testing::Values(
-        FillCase{"Grid8Sampling", [] { return regular_grid_layout(8); },
-                 RowBasisScheme::kColumnSampling},
-        FillCase{"Grid8Krylov", [] { return regular_grid_layout(8); },
-                 RowBasisScheme::kBlockKrylov},
-        FillCase{"Grid16Sampling", [] { return regular_grid_layout(16); },
-                 RowBasisScheme::kColumnSampling},
-        FillCase{"Grid16Krylov", [] { return regular_grid_layout(16); },
-                 RowBasisScheme::kBlockKrylov},
-        FillCase{"Alternating8Sampling", [] { return alternating_size_layout(8); },
-                 RowBasisScheme::kColumnSampling},
-        FillCase{"Alternating8Krylov", [] { return alternating_size_layout(8); },
-                 RowBasisScheme::kBlockKrylov},
-        FillCase{"MixedShapes16Sampling", [] { return mixed_shapes_layout(16, 21); },
-                 RowBasisScheme::kColumnSampling},
-        FillCase{"MixedShapes16Krylov", [] { return mixed_shapes_layout(16, 21); },
-                 RowBasisScheme::kBlockKrylov}),
+        FillCase{"Grid8Sampling", [] { return regular_grid_layout(8); }},
+        FillCase{"Grid16Sampling", [] { return regular_grid_layout(16); }},
+        FillCase{"Alternating8Sampling", [] { return alternating_size_layout(8); }},
+        FillCase{"MixedShapes16Sampling", [] { return mixed_shapes_layout(16, 21); }}),
     [](const ::testing::TestParamInfo<FillCase>& info) { return info.param.name; });
 
 TEST(RowBasisRep, ApplyMatchesWholeTreeApply) {
@@ -353,6 +343,44 @@ TEST(RowBasisRep, ApplyMatchesWholeTreeApply) {
   for (auto& v : x) v = rng.normal();
   const Vector ref = whole_tree_apply(rep, x);
   EXPECT_LT(norm2(rep.apply(x) - ref), 1e-13 * norm2(ref));
+}
+
+// apply() of two representations on one seeded vector, compared bit for
+// bit (a -0.0 or a NaN payload counts as a difference).
+std::size_t apply_bit_mismatches(const RowBasisRep& a, const RowBasisRep& b, std::uint64_t seed) {
+  Rng rng(seed);
+  Vector v(a.tree().layout().n_contacts());
+  for (auto& x : v) x = rng.normal();
+  const Vector ya = a.apply(v);
+  const Vector yb = b.apply(v);
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < v.size(); ++i)
+    mismatches += std::bit_cast<std::uint64_t>(ya[i]) != std::bit_cast<std::uint64_t>(yb[i]);
+  return mismatches;
+}
+
+TEST(RowBasisRep, FixedSeedIsBitReproducible) {
+  // Two builds from one seed draw the same sample vectors and make the same
+  // solves, so the representations agree to the last bit.
+  LowRankFixture f(regular_grid_layout(16));
+  const RowBasisRep a(f.solver, f.tree);
+  const RowBasisRep b(f.solver, f.tree);
+  EXPECT_EQ(apply_bit_mismatches(a, b, 5), 0u);
+  EXPECT_EQ(a.solves(), b.solves());
+}
+
+TEST(RowBasisRep, ThreadCountDoesNotChangeBits) {
+  // The north-star contract for the headline method: results do not depend
+  // on the thread count.
+  LowRankFixture f(regular_grid_layout(16));
+  const std::size_t restore = thread_count();
+  set_thread_count(1);
+  const RowBasisRep one(f.solver, f.tree);
+  set_thread_count(4);
+  const RowBasisRep four(f.solver, f.tree);
+  set_thread_count(restore);
+  EXPECT_EQ(apply_bit_mismatches(one, four, 9), 0u);
+  EXPECT_EQ(one.solves(), four.solves());
 }
 
 TEST(PositionsIn, MapsSortedSubsets) {

@@ -385,7 +385,7 @@ TEST(Service, InvalidSubmissionsFailImmediatelyWithoutThrowing) {
   EXPECT_EQ(null_solver.error().code, ErrorCode::kInvalidRequest);
 
   ExtractionRequest bad = test_request();
-  bad.lowrank.rbk.target_tol = 2.0;  // outside (0, 1)
+  bad.lowrank.sigma_rel_tol = 2.0;  // outside (0, 1]
   ExtractionJob invalid = service.submit(fresh_solver(layout, stack), layout, stack, bad);
   EXPECT_EQ(invalid.status(), JobStatus::kFailed);
   EXPECT_EQ(invalid.error().code, ErrorCode::kInvalidRequest);
