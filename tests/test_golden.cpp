@@ -1,13 +1,16 @@
 // Golden regression pins for the quickstart pipeline (the exact numbers a
 // fresh checkout prints from examples/quickstart.cpp). These values are the
 // contract that refactors of the extraction internals must not perturb: the
-// column-sampling row basis stays bit-for-bit what it was at the seed.
+// column-sampling row basis stays bit-for-bit what it was at the seed, and
+// both methods' models keep their bits and their solve batches.
 //
 // If a change legitimately alters them (an accuracy improvement, a solver
 // change), update the constants here in the same commit and say why.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
+#include <vector>
 
 #include "subspar/subspar.hpp"
 
@@ -104,14 +107,101 @@ constexpr bool kSimdContracts = true;
 constexpr bool kSimdContracts = false;
 #endif
 
+std::uint64_t model_digest(const SparsifiedModel& model) {
+  return sparse_digest(sparse_digest(0xcbf29ce484222325ULL, model.q()), model.gw());
+}
+
+// The quickstart layout and stack with the wavelet method, no threshold,
+// and with the low-rank method on a two-level tree (max_level = 2), whose
+// finest level is its coarsest: the row basis answers the finest W columns
+// by direct solves there. Digests as above.
+constexpr std::uint64_t kWaveletDigestScalar = 0xb528fa4fb9ffeb33ULL;
+constexpr std::uint64_t kWaveletDigestX86Simd = 0x697afde71e506cd5ULL;
+constexpr std::uint64_t kTwoLevelDigestScalar = 0x7af379e33d06e9baULL;
+constexpr std::uint64_t kTwoLevelDigestX86Simd = 0xb6819d22c4124fbeULL;
+
+// Restores the pool size a test changed, also when an assertion fails.
+struct ThreadCountGuard {
+  std::size_t saved = thread_count();
+  ~ThreadCountGuard() { set_thread_count(saved); }
+};
+
+// Runs `check` at 1 and at 4 threads: the digests do not depend on the
+// pool size.
+template <class Check>
+void at_1_and_4_threads(const Check& check) {
+  const ThreadCountGuard guard;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    set_thread_count(threads);
+    SCOPED_TRACE(testing::Message() << threads << " thread(s)");
+    check();
+  }
+}
+
 TEST(GoldenQuickstart, PinsModelDigest) {
   if (!kDigestPinned) GTEST_SKIP() << "model digests are pinned for x86 builds only";
   const bool simd_bits = kSimdContracts && active_backend() != BackendKind::kScalar;
   Quickstart qs;
-  const SparsifiedModel model = Extractor(*qs.solver, qs.layout).extract(qs.request).model;
-  EXPECT_EQ(sparse_digest(sparse_digest(0xcbf29ce484222325ULL, model.q()), model.gw()),
-            simd_bits ? kGoldenDigestX86Simd : kGoldenDigestScalar)
-      << backend_name(active_backend());
+  at_1_and_4_threads([&] {
+    const SparsifiedModel model = Extractor(*qs.solver, qs.layout).extract(qs.request).model;
+    EXPECT_EQ(model_digest(model), simd_bits ? kGoldenDigestX86Simd : kGoldenDigestScalar)
+        << backend_name(active_backend());
+  });
+}
+
+TEST(GoldenQuickstart, PinsWaveletAndTwoLevelDigests) {
+  if (!kDigestPinned) GTEST_SKIP() << "model digests are pinned for x86 builds only";
+  const bool simd_bits = kSimdContracts && active_backend() != BackendKind::kScalar;
+  Quickstart qs;
+  const QuadTree two_level(qs.layout, 2);
+  at_1_and_4_threads([&] {
+    const ExtractionRequest wavelet{.method = SparsifyMethod::kWavelet};
+    EXPECT_EQ(model_digest(Extractor(*qs.solver, qs.layout).extract(wavelet).model),
+              simd_bits ? kWaveletDigestX86Simd : kWaveletDigestScalar)
+        << backend_name(active_backend());
+    EXPECT_EQ(model_digest(Extractor(*qs.solver, two_level).extract().model),
+              simd_bits ? kTwoLevelDigestX86Simd : kTwoLevelDigestScalar)
+        << backend_name(active_backend());
+  });
+}
+
+// Forwards to another solver and logs the width of every solve_many batch.
+class BatchLog : public SubstrateSolver {
+ public:
+  explicit BatchLog(const SubstrateSolver& inner) : inner_(inner) {}
+  std::size_t n_contacts() const override { return inner_.n_contacts(); }
+  std::string name() const override { return inner_.name(); }
+  const std::vector<std::size_t>& widths() const { return widths_; }
+
+ protected:
+  Vector do_solve(const Vector& v) const override { return inner_.solve(v); }
+  Matrix do_solve_many(const Matrix& v) const override {
+    widths_.push_back(v.cols());
+    return inner_.solve_many(v);
+  }
+
+ private:
+  const SubstrateSolver& inner_;
+  mutable std::vector<std::size_t> widths_;
+};
+
+// The solve batches the model bits depend on: their order and widths. The
+// low-rank tree takes level 2's sample and basis batches, then per finer
+// level a combined sample and basis batch, then the finest W batch; the
+// two-level tree answers its W columns directly. The wavelet takes the root
+// V columns, then one combined batch per level.
+TEST(GoldenQuickstart, PinsSolveBatchWidths) {
+  Quickstart qs;
+  using Widths = std::vector<std::size_t>;
+  const auto widths = [&](const QuadTree& tree, const ExtractionRequest& request) {
+    const BatchLog log(*qs.solver);
+    Extractor(log, tree).extract(request);
+    return log.widths();
+  };
+  const QuadTree tree(qs.layout), two_level(qs.layout, 2);
+  EXPECT_EQ(widths(tree, qs.request), (Widths{16, 89, 36, 144, 36, 36}));
+  EXPECT_EQ(widths(two_level, qs.request), (Widths{16, 89, 167}));
+  EXPECT_EQ(widths(tree, {.method = SparsifyMethod::kWavelet}), (Widths{6, 18, 72, 90}));
 }
 
 }  // namespace
