@@ -4,7 +4,8 @@
 //
 // Every bench accepts --full to run at the paper's sizes; the default sizes
 // are scaled for a single-core run of the whole suite (documented per table
-// in EXPERIMENTS.md). All randomness is seeded: reruns are bit-identical.
+// in docs/REPRODUCTION.md). All randomness is seeded: reruns are
+// bit-identical.
 #pragma once
 
 #include <cstdio>

@@ -10,10 +10,11 @@
 // low-rank method wins decisively on both mixed-size examples while being
 // at least as sparse.
 //
-// The bench exits nonzero when the low-rank row basis takes more solves
-// than its pinned ceiling on any example (a solve-count regression; lower
-// the pins when a change lowers the counts). --json <path> additionally
-// writes the low-rank solve counts as a JSON artifact (consumed by CI).
+// The bench exits nonzero when the low-rank row basis or the wavelet
+// extraction takes more solves than its pinned ceiling on any example (a
+// solve-count regression; lower the pins when a change lowers the counts).
+// --json <path> additionally writes both methods' solve counts as a JSON
+// artifact (consumed by CI).
 #include <fstream>
 
 #include "common.hpp"
@@ -27,11 +28,13 @@ struct JsonRow {
   std::string name;
   std::size_t n = 0;
   MethodRow sampling;
+  MethodRow wavelet;
   long max_solves = 0;
+  long max_wavelet_solves = 0;
 };
 
-void run(const char* name, const char* paper, long max_solves, const Layout& layout,
-         Table& table, std::vector<JsonRow>& json_rows) {
+void run(const char* name, const char* paper, long max_solves, long max_wavelet_solves,
+         const Layout& layout, Table& table, std::vector<JsonRow>& json_rows) {
   const auto solver = make_solver(SolverKind::kSurface, layout, bench_stack());
   const QuadTree tree(layout);
   const ExactColumns exact = exact_columns(*solver, 1.0);
@@ -43,12 +46,20 @@ void run(const char* name, const char* paper, long max_solves, const Layout& lay
                  Table::pct(wv.error.max_rel_error_significant, 1),
                  Table::pct(lr.error.frac_above_10pct, 1),
                  Table::pct(wv.error.frac_above_10pct, 1), std::to_string(lr.solves),
-                 std::to_string(max_solves), Table::fixed(wv.solve_reduction, 2), paper});
-  json_rows.push_back({name, layout.n_contacts(), lr, max_solves});
+                 std::to_string(max_solves), std::to_string(wv.solves),
+                 std::to_string(max_wavelet_solves), Table::fixed(wv.solve_reduction, 2),
+                 paper});
+  json_rows.push_back({name, layout.n_contacts(), lr, wv, max_solves, max_wavelet_solves});
 }
 
-// The artifact the CI uploads: one object per example with the low-rank
-// build's cost and accuracy.
+void write_method(std::ofstream& out, const MethodRow& row) {
+  out << "{\"solves\": " << row.solves
+      << ", \"max_rel_error_significant\": " << row.error.max_rel_error_significant
+      << ", \"sparsity\": " << row.sparsity << "}";
+}
+
+// The artifact the CI uploads: one object per example with each method's
+// cost and accuracy.
 void write_json(const std::string& path, const std::vector<JsonRow>& rows) {
   std::ofstream out(path);
   out << "{\n  \"table\": \"4.1\",\n  \"examples\": [\n";
@@ -57,10 +68,11 @@ void write_json(const std::string& path, const std::vector<JsonRow>& rows) {
     out << "    {\n"
         << "      \"name\": \"" << r.name << "\",\n"
         << "      \"n\": " << r.n << ",\n"
-        << "      \"column_sampling\": {\"solves\": " << r.sampling.solves
-        << ", \"max_rel_error_significant\": " << r.sampling.error.max_rel_error_significant
-        << ", \"sparsity\": " << r.sampling.sparsity << "}\n"
-        << "    }" << (i + 1 < rows.size() ? "," : "") << "\n";
+        << "      \"column_sampling\": ";
+    write_method(out, r.sampling);
+    out << ",\n      \"wavelet\": ";
+    write_method(out, r.wavelet);
+    out << "\n    }" << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";
 }
@@ -78,28 +90,32 @@ int main(int argc, char** argv) {
   std::printf("Table 4.1 — low-rank vs wavelet, no thresholding\n");
   std::printf("(max err over entries >= max|G|/500, the paper's stated range)\n\n");
   Table table({"example", "n", "sparsity LR", "sparsity W", "max err LR", "max err W",
-               ">10% LR", ">10% W", "solves LR", "max solves LR", "solve red. W",
+               ">10% LR", ">10% W", "solves LR", "max solves LR", "solves W", "max solves W",
+               "solve red. W",
                "paper (spLR/spW/errLR/errW/srLR/srW)"});
   // The examples are the same with and without --full, so one set of
   // ceilings holds for both.
   std::vector<JsonRow> json_rows;
-  run("1 regular", "3.9/2.5/5.1%/0.2%/3.2/2.9", 611, example_regular(full), table, json_rows);
-  run("2 alternating", "4.1/2.5/5.7%/47%/3.3/2.9", 616, example_alternating(full), table,
+  run("1 regular", "3.9/2.5/5.1%/0.2%/3.2/2.9", 611, 348, example_regular(full), table,
       json_rows);
-  run("3 mixed shapes", "3.5/2.3/12%/31%/2.8/2.5", 615, example_shapes(full), table, json_rows);
+  run("2 alternating", "4.1/2.5/5.7%/47%/3.3/2.9", 616, 348, example_alternating(full), table,
+      json_rows);
+  run("3 mixed shapes", "3.5/2.3/12%/31%/2.8/2.5", 615, 341, example_shapes(full), table,
+      json_rows);
   std::printf("%s\n", table.str().c_str());
   std::printf("expected shape: low-rank at least as sparse everywhere, far more\n"
               "accurate on examples 2 and 3 (mixed contact sizes/shapes).\n");
 
   bool within_ceilings = true;
   for (const JsonRow& r : json_rows)
-    if (r.sampling.solves > r.max_solves) within_ceilings = false;
-  std::printf("low-rank solves within the pinned ceilings on every example: %s\n",
+    if (r.sampling.solves > r.max_solves || r.wavelet.solves > r.max_wavelet_solves)
+      within_ceilings = false;
+  std::printf("low-rank and wavelet solves within the pinned ceilings on every example: %s\n",
               within_ceilings ? "yes" : "NO");
 
   if (const char* path = json_path(argc, argv)) {
     write_json(path, json_rows);
-    std::printf("low-rank solve counts written to %s\n", path);
+    std::printf("solve counts written to %s\n", path);
   }
   return within_ceilings ? 0 : 1;
 }

@@ -98,9 +98,6 @@ struct ExtractionReport {
   double solve_reduction = 0.0;  ///< n / solves that built the model
   bool from_cache = false;       ///< true when served by a ModelCache hit
   std::vector<PhaseTiming> phases;
-  /// How the model's change of basis was built: "wavelet" or
-  /// "column-sampling" (empty on cache hits, which skip the build).
-  std::string basis_scheme;
   /// One line per degradation the pipeline recovered from (solver fallback
   /// chains, quarantined cache files). Empty on a healthy run — the model
   /// is within the method's error bound either way, these record *how* it

@@ -43,7 +43,6 @@ std::string ExtractionReport::summary() const {
   std::ostringstream out;
   out << "n = " << n << ", solves = " << solves << " (reduction " << solve_reduction
       << "x), sparsity(G_w) = " << gw_sparsity << ", sparsity(Q) = " << q_sparsity;
-  if (!basis_scheme.empty()) out << ", basis = " << basis_scheme;
   if (!fallbacks.empty()) out << ", fallbacks = " << fallbacks.size();
   out << ", " << (from_cache ? "cache hit in " : "build = ") << seconds << " s";
   if (!phases.empty()) {
@@ -160,7 +159,6 @@ ExtractionResult Extractor::extract_impl(const ExtractionRequest& request) const
 
   SparseMatrix q, gw;
   if (request.method == SparsifyMethod::kWavelet) {
-    report.basis_scheme = "wavelet";
     const WaveletBasis basis(*tree_, request.moment_order);
     phase_done("wavelet-basis");
     WaveletExtraction ex = wavelet_extract_combined(*solver_, basis);
@@ -168,7 +166,6 @@ ExtractionResult Extractor::extract_impl(const ExtractionRequest& request) const
     gw = std::move(ex.gws);
     phase_done("combine-extract");
   } else {
-    report.basis_scheme = "column-sampling";
     const RowBasisRep rep(*solver_, *tree_, request.lowrank);
     phase_done("row-basis");
     const LowRankBasis basis(rep);

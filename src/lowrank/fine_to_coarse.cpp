@@ -71,9 +71,7 @@ std::map<SquareId, SquareBasis> sweep(const RowBasisRep& rep) {
           const std::size_t nq = rep.contacts(q).size();
           Matrix yq(nq, k_total);
           if (vp.cols() > 0) matmul_add(yq, rep.response(p, q), cs);
-          if (rep.v(q).cols() > 0 && rep.has_response(q, p)) {
-            matmul_add(yq, rep.v(q), matmul_tn(rep.response(q, p), os));
-          }
+          if (rep.v(q).cols() > 0) matmul_add(yq, rep.v(q), matmul_tn(rep.response(q, p), os));
           y.set_block(r0, 0, yq);
           r0 += nq;
         }

@@ -70,8 +70,6 @@ class RowBasisRep {
   /// Approximate response block (G_{q, s} V_s)^(r), rows ordered like
   /// contacts(q); q must be in P_s.
   const Matrix& response(const SquareId& s, const SquareId& q) const;
-  /// True when a response block (G_{q, s} V_s)^(r) was recorded for (s, q).
-  bool has_response(const SquareId& s, const SquareId& q) const;
   /// Finest-level orthogonal complement W_s of V_s.
   const Matrix& finest_w(const SquareId& s) const;
   /// Assembled finest-level local block G^(f)_{q, s} (q in L_s).
@@ -83,9 +81,13 @@ class RowBasisRep {
  private:
   friend SparseMatrix lowrank_fill_gw(const RowBasisRep& rep, const LowRankBasis& basis);
 
+  // Response blocks of one square's column block, keyed by square, rows
+  // ordered like contacts(q).
+  using ResponseBlocks = std::map<SquareId, Matrix>;
+
   struct SquareRep {
     Matrix v;
-    std::map<SquareId, Matrix> response;
+    ResponseBlocks response;  // (G_{q, s} V_s)^(r) for q in P_s
   };
 
   /// Adds G x to `out` (out[c] += G x_c over all contacts; out.size() >=
@@ -97,24 +99,20 @@ class RowBasisRep {
   /// squares() scan order and per column like matvec.
   void add_subtree_response(const SquareId& s, const Matrix& x, std::vector<Vector>& out) const;
 
-  // Per-square responses of one "batch" of vectors, stored over the local
-  // squares of the parent (which cover P_s).
-  using ResponseBlocks = std::map<SquareId, Matrix>;
-
-  void build_level2(const SubstrateSolver& solver);
+  /// Row bases V_s from random samples, then their responses over P_s, for
+  /// every square of a level (§4.3.3).
   void build_level(const SubstrateSolver& solver, int level);
+  /// W_s and the local blocks G^(f)_{L_s, s} of the finest level (eq. 4.26).
   void build_finest(const SubstrateSolver& solver);
 
-  /// The splitting method (§4.3.3): responses to per-square column batches
-  /// x_s (columns over contacts(s), level `level` >= 3), each returned over
-  /// the local squares of its parent. Uses the parent-level representation
-  /// plus combine-solves on the orthogonal parts.
-  std::map<SquareId, ResponseBlocks> split_responses(
-      const SubstrateSolver& solver, int level,
-      const std::map<SquareId, Matrix>& batches);
-
-  Matrix row_basis_from_samples(const SquareId& s,
-                                const std::map<SquareId, ResponseBlocks>& sample_responses);
+  /// Responses to per-square column blocks, x[i] over the contacts of
+  /// squares(level)[i], each over the local squares of its parent (which
+  /// cover P_s): by direct solves on level 2, and below it by the splitting
+  /// method (eqs. 4.22-4.24), which answers the parent row-basis part from
+  /// the parent-level representation and combine-solves the orthogonal
+  /// remainders.
+  std::map<SquareId, ResponseBlocks> respond(const SubstrateSolver& solver, int level,
+                                             const std::vector<Matrix>& x) const;
 
   const QuadTree* tree_;
   LowRankOptions options_;

@@ -7,15 +7,6 @@
 
 namespace subspar {
 
-bool WaveletPattern::allowed(std::size_t i, std::size_t j) const {
-  const auto& cols = basis_->columns();
-  SUBSPAR_REQUIRE(i < cols.size() && j < cols.size());
-  const BasisColumn& a = cols[i];
-  const BasisColumn& b = cols[j];
-  if (!a.vanishing || !b.vanishing) return true;  // root V rows/cols all kept
-  return !basis_->tree().well_separated(a.square, b.square);
-}
-
 SparseMatrix SymmetricEntryAccumulator::build() {
   // Stable by key, so each entry's measurements are summed in record order.
   std::stable_sort(entries_.begin(), entries_.end(),
@@ -73,16 +64,6 @@ std::vector<SquareId> subtree_squares(const QuadTree& tree, const SquareId& t) {
     for (const SquareId& c : tree.children(out[k])) out.push_back(c);
   }
   return out;
-}
-
-SparseMatrix WaveletPattern::mask(const Matrix& gw) const {
-  const std::size_t n = basis_->n();
-  SUBSPAR_REQUIRE(gw.rows() == n && gw.cols() == n);
-  SparseBuilder b(n, n);
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < n; ++j)
-      if (gw(i, j) != 0.0 && allowed(i, j)) b.add(i, j, gw(i, j));
-  return SparseMatrix(b);
 }
 
 SparseMatrix threshold_to_nnz(const SparseMatrix& a, std::size_t target_nnz) {

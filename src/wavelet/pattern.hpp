@@ -17,21 +17,6 @@
 
 namespace subspar {
 
-class WaveletPattern {
- public:
-  explicit WaveletPattern(const TransformBasis& basis) : basis_(&basis) {}
-
-  /// True if entry (i, j) of G_w is kept under the conservative assumption.
-  bool allowed(std::size_t i, std::size_t j) const;
-
-  /// Masks a dense transformed matrix to the allowed pattern (the reference
-  /// n-solve path against which combine-solves extraction is validated).
-  SparseMatrix mask(const Matrix& gw) const;
-
- private:
-  const TransformBasis* basis_;
-};
-
 /// Accumulates measurements of entries of a symmetric matrix; entries
 /// estimated from both directions (i response to j, j response to i) are
 /// averaged, preserving symmetry of the assembled result. Measurements are

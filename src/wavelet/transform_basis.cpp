@@ -81,15 +81,6 @@ const std::vector<std::size_t>& TransformBasis::w_columns(const SquareId& s) con
   return it == w_column_index_.end() ? kNoColumns : it->second;
 }
 
-std::size_t TransformBasis::max_w_on_level(int level) const {
-  std::size_t m = 0;
-  for (const SquareId& s : tree_->squares(level)) {
-    const auto it = squares_.find(s);
-    if (it != squares_.end()) m = std::max(m, it->second.w.cols());
-  }
-  return m;
-}
-
 Vector TransformBasis::column_vector(std::size_t j) const {
   SUBSPAR_REQUIRE(j < columns_.size());
   const BasisColumn& col = columns_[j];

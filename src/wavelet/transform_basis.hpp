@@ -53,8 +53,6 @@ class TransformBasis {
   const std::vector<std::size_t>& w_columns(const SquareId& s) const;
   /// Column indices of the root-level leftover V blocks (all root squares).
   const std::vector<std::size_t>& root_columns() const { return root_columns_; }
-  /// Largest W-block width on a level.
-  std::size_t max_w_on_level(int level) const;
 
   /// The orthogonal n x n change-of-basis matrix (contacts x columns).
   const SparseMatrix& q() const { return q_; }

@@ -41,7 +41,6 @@ TEST(GoldenQuickstart, PinsSolveCountSparsityAndResidual) {
 
   EXPECT_EQ(ex.report.solves, kGoldenSolves);
   EXPECT_EQ(ex.report.n, 256u);
-  EXPECT_EQ(ex.report.basis_scheme, "column-sampling");
   EXPECT_EQ(model.gw().nnz(), kGoldenGwNnz);
   EXPECT_EQ(model.q().nnz(), kGoldenQNnz);
   EXPECT_NEAR(ex.report.gw_sparsity, kGoldenGwSparsity, 1e-12);

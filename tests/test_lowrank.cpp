@@ -17,6 +17,7 @@
 #include "substrate/eigen_solver.hpp"
 #include "substrate/solver.hpp"
 #include "subspar/extraction.hpp"
+#include "support/wavelet_reference.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "wavelet/basis.hpp"
@@ -250,7 +251,7 @@ Vector whole_tree_apply(const RowBasisRep& rep, const Vector& x) {
         const auto& dids = rep.contacts(d);
         Vector id(dids.size());
         if (v.cols() > 0) id += matvec(rep.response(s, d), cs);
-        if (rep.v(d).cols() > 0 && rep.has_response(d, s))
+        if (rep.v(d).cols() > 0)
           id += matvec(rep.v(d), matvec_t(rep.response(d, s), os));
         for (std::size_t i = 0; i < dids.size(); ++i) out[dids[i]] += id[i];
       }
