@@ -113,7 +113,7 @@ struct ExtractionReport {
   /// Cache events attributable to this request (all zero when no ModelCache
   /// was involved).
   CacheEvents cache;
-  /// Active SIMD kernel backend ("scalar", "avx2", "avx512", "neon") —
+  /// Active SIMD kernel backend ("scalar", "avx512", "neon") —
   /// provenance only: the backend never changes results beyond solver
   /// tolerance and is never part of cache keys.
   std::string backend;

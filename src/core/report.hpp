@@ -47,8 +47,4 @@ ErrorStats reconstruction_error(const SparseMatrix& q, const SparseMatrix& gw,
 ErrorStats reconstruction_error(const SparseMatrix& q, const SparseMatrix& gw,
                                 const Matrix& g_exact);
 
-/// Entry-error stats of directly thresholding the *original* G (the naive
-/// sparsification both chapters are compared against).
-ErrorStats direct_threshold_error(const Matrix& g_exact, double keep_fraction);
-
 }  // namespace subspar

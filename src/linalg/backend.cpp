@@ -18,11 +18,6 @@ namespace backend_detail {
 namespace scalar {
 const KernelOps& ops();
 }
-#if defined(SUBSPAR_HAVE_AVX2_TU)
-namespace avx2 {
-const KernelOps& ops();
-}
-#endif
 #if defined(SUBSPAR_HAVE_AVX512_TU)
 namespace avx512 {
 const KernelOps& ops();
@@ -41,11 +36,8 @@ bool cpu_supports(BackendKind kind) {
   switch (kind) {
     case BackendKind::kScalar:
       return true;
-    case BackendKind::kAvx2:
     case BackendKind::kAvx512:
 #if (defined(__x86_64__) || defined(__i386__)) && (defined(__GNUC__) || defined(__clang__))
-      if (kind == BackendKind::kAvx2)
-        return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
       return __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("fma");
 #else
       return false;
@@ -65,10 +57,6 @@ const KernelOps* ops_for(BackendKind kind) {
   switch (kind) {
     case BackendKind::kScalar:
       return &backend_detail::scalar::ops();
-#if defined(SUBSPAR_HAVE_AVX2_TU)
-    case BackendKind::kAvx2:
-      return &backend_detail::avx2::ops();
-#endif
 #if defined(SUBSPAR_HAVE_AVX512_TU)
     case BackendKind::kAvx512:
       return &backend_detail::avx512::ops();
@@ -92,8 +80,8 @@ std::string usable_names() {
 }
 
 // Resolution order for the startup default; best first.
-constexpr BackendKind kPreference[] = {BackendKind::kAvx512, BackendKind::kAvx2,
-                                       BackendKind::kNeon, BackendKind::kScalar};
+constexpr BackendKind kPreference[] = {BackendKind::kAvx512, BackendKind::kNeon,
+                                       BackendKind::kScalar};
 
 const KernelOps* resolve_default() {
   // NOLINTNEXTLINE(concurrency-mt-unsafe): single read at first dispatch
@@ -118,22 +106,18 @@ const char* backend_name(BackendKind kind) {
   switch (kind) {
     case BackendKind::kScalar:
       return "scalar";
-    case BackendKind::kAvx2:
-      return "avx2";
     case BackendKind::kAvx512:
       return "avx512";
     case BackendKind::kNeon:
       return "neon";
   }
-  return "scalar";
+  return "unknown";
 }
 
 BackendKind parse_backend(const std::string& name) {
   BackendKind kind;
   if (name == "scalar") {
     kind = BackendKind::kScalar;
-  } else if (name == "avx2") {
-    kind = BackendKind::kAvx2;
   } else if (name == "avx512") {
     kind = BackendKind::kAvx512;
   } else if (name == "neon") {
@@ -151,9 +135,6 @@ BackendKind parse_backend(const std::string& name) {
 
 std::vector<BackendKind> compiled_backends() {
   std::vector<BackendKind> out{BackendKind::kScalar};
-#if defined(SUBSPAR_HAVE_AVX2_TU)
-  out.push_back(BackendKind::kAvx2);
-#endif
 #if defined(SUBSPAR_HAVE_AVX512_TU)
   out.push_back(BackendKind::kAvx512);
 #endif

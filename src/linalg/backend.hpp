@@ -1,13 +1,15 @@
-// Runtime-dispatched SIMD kernel backend (ROADMAP item 4).
+// Runtime-dispatched SIMD kernel backend.
 //
-// The hot kernels — the packed, tall-skinny and resident-panel GEMM kernels,
-// the multi-RHS CSR SpMM row kernels, and the dense-table DCT's dot, all
-// fp64 — are compiled several times into per-ISA translation units (scalar
-// baseline, AVX2+FMA, AVX-512, NEON) and selected ONCE per process through a
-// table of function pointers.
+// The hot kernels — the packed, tall-skinny and resident-panel GEMM kernels
+// and the multi-RHS CSR SpMM row kernels, all fp64 — are compiled several
+// times into per-ISA translation units (scalar baseline, AVX-512, NEON) and
+// selected ONCE per process through a table of function pointers.
 // One binary therefore serves every ISA: the default build carries all
 // variants the compiler can target and CPUID picks the best supported one
-// at first use, overridable with SUBSPAR_BACKEND=scalar|avx2|avx512|neon.
+// at first use, overridable with SUBSPAR_BACKEND=scalar|avx512|neon. An x86
+// host without AVX-512F runs the scalar kernels: the SIMD kernel source is
+// written against 8-lane doubles, which need a target that holds them in
+// one register (backend_kernels.inl).
 //
 // Contracts:
 //  - kScalar is the bit-exact deterministic reference: its kernels are the
@@ -28,9 +30,9 @@
 
 namespace subspar {
 
-enum class BackendKind { kScalar, kAvx2, kAvx512, kNeon };
+enum class BackendKind { kScalar, kAvx512, kNeon };
 
-/// Stable lower-case name ("scalar", "avx2", "avx512", "neon") — the
+/// Stable lower-case name ("scalar", "avx512", "neon") — the
 /// SUBSPAR_BACKEND vocabulary and the ExtractionReport::backend value.
 const char* backend_name(BackendKind kind);
 
@@ -84,9 +86,6 @@ struct KernelOps {
   void (*spmm_t_row_f64)(const double* vals, const std::size_t* cols, std::size_t nnz,
                          const double* xrow, std::size_t j0, std::size_t j1, double* y,
                          std::size_t ldy);
-
-  /// Contiguous dot products (the dense-table DCT path).
-  double (*dot_f64)(const double* a, const double* b, std::size_t n);
 };
 
 /// Backends compiled into this binary (always contains kScalar; the SIMD
@@ -99,7 +98,7 @@ std::vector<BackendKind> supported_backends();
 
 /// The active backend. Resolved on first use: SUBSPAR_BACKEND when set and
 /// non-empty (invalid values throw std::invalid_argument), otherwise the
-/// best supported backend in the order avx512 > avx2 > neon > scalar.
+/// best supported backend in the order avx512 > neon > scalar.
 BackendKind active_backend();
 
 /// Switches the active backend (tests, benches, tools). Throws

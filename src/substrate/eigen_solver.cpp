@@ -17,25 +17,6 @@ namespace subspar {
 namespace {
 constexpr double kPi = 3.14159265358979323846;
 
-/// Widest column block fed to one pcg_block call: bounds the O(k^2 n) Gram
-/// work and the O(k^3) small solves while keeping the spectrum deflation
-/// that makes the blocked iteration converge in far fewer iterations.
-constexpr std::size_t kMaxSolveBlock = 16;
-
-/// Size gate for the dense direct-solve fallback: materializing and
-/// factoring the restricted panel operator is O(p^2) memory / O(p^3) work.
-constexpr std::size_t kMaxDirectDim = 4096;
-
-void accumulate_diag(SolverDiagnostics& d, const RobustSolveReport& r) {
-  d.iterations += static_cast<long>(r.iterations);
-  d.max_iteration_hits += static_cast<long>(r.max_iteration_hits);
-  d.restarts += static_cast<long>(r.restarts);
-  d.tighter_restarts += static_cast<long>(r.tighter_restarts);
-  d.direct_columns += static_cast<long>(r.direct_columns);
-  d.nonfinite_recoveries += static_cast<long>(r.nonfinite_events);
-  if (!r.clean) d.worst_residual = std::max(d.worst_residual, r.worst_residual);
-}
-
 /// Contacts per block-Jacobi task: a fixed split, so the tasks do not
 /// depend on the thread count (nor, since contacts are independent, do the
 /// results).

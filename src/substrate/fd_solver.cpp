@@ -19,9 +19,6 @@
 
 namespace subspar {
 namespace {
-/// Column-chunk width per pcg_block call (see eigen_solver.cpp).
-constexpr std::size_t kMaxSolveBlock = 16;
-
 /// The Table 2.1 fast-Poisson preconditioner behind the blockwise
 /// Preconditioner interface: column fan-out over the pool, per-column
 /// arithmetic identical to a single solve.
@@ -33,10 +30,6 @@ class FastPoissonPreconditioner final : public Preconditioner {
  private:
   FastPoisson3D fp_;
 };
-
-/// Size gate for the dense direct-solve fallback (O(n^2) memory, O(n^3)
-/// factorization over the full grid).
-constexpr std::size_t kMaxDirectDim = 4096;
 
 /// Tighter-preconditioner stage of the fallback chain: an IC(0) factor built
 /// lazily on first use, so healthy runs under the cheap fast-Poisson /
@@ -66,16 +59,6 @@ struct ThreadBlocks {
 ThreadBlocks& thread_blocks() {
   thread_local ThreadBlocks blocks;
   return blocks;
-}
-
-void accumulate_diag(SolverDiagnostics& d, const RobustSolveReport& r) {
-  d.iterations += static_cast<long>(r.iterations);
-  d.max_iteration_hits += static_cast<long>(r.max_iteration_hits);
-  d.restarts += static_cast<long>(r.restarts);
-  d.tighter_restarts += static_cast<long>(r.tighter_restarts);
-  d.direct_columns += static_cast<long>(r.direct_columns);
-  d.nonfinite_recoveries += static_cast<long>(r.nonfinite_events);
-  if (!r.clean) d.worst_residual = std::max(d.worst_residual, r.worst_residual);
 }
 
 }  // namespace

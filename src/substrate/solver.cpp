@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "linalg/robust.hpp"
 #include "util/cancel.hpp"
 #include "util/check.hpp"
 #include "util/hash.hpp"
@@ -45,6 +46,16 @@ Matrix SubstrateSolver::solve_many(const Matrix& contact_voltages) const {
   cancellation_point("solve-many");
   solve_count_ += static_cast<long>(contact_voltages.cols());
   return do_solve_many(contact_voltages);
+}
+
+void SubstrateSolver::accumulate_diag(SolverDiagnostics& d, const RobustSolveReport& r) {
+  d.iterations += static_cast<long>(r.iterations);
+  d.max_iteration_hits += static_cast<long>(r.max_iteration_hits);
+  d.restarts += static_cast<long>(r.restarts);
+  d.tighter_restarts += static_cast<long>(r.tighter_restarts);
+  d.direct_columns += static_cast<long>(r.direct_columns);
+  d.nonfinite_recoveries += static_cast<long>(r.nonfinite_events);
+  if (!r.clean) d.worst_residual = std::max(d.worst_residual, r.worst_residual);
 }
 
 Matrix SubstrateSolver::do_solve_many(const Matrix& contact_voltages) const {

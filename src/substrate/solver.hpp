@@ -26,6 +26,8 @@ namespace subspar {
 /// the caller keeps the documented precondition.
 std::string substrate_fingerprint(const Layout& layout, const SubstrateStack& stack);
 
+struct RobustSolveReport;  // linalg/robust.hpp
+
 /// Robustness counters a solver accumulates across its solve calls. The
 /// iterative solvers feed these from the robust_pcg_block fallback chain
 /// (linalg/robust.hpp); the Extractor snapshots per-phase deltas into the
@@ -83,6 +85,18 @@ class SubstrateSolver {
  protected:
   /// Mutable hook for concrete solvers to fold fallback-chain reports into.
   SolverDiagnostics& diag() const { return diagnostics_; }
+  /// Folds the report of one robust_pcg_block call (one column chunk)
+  /// into `d`.
+  static void accumulate_diag(SolverDiagnostics& d, const RobustSolveReport& r);
+
+  /// Widest column chunk the iterative solvers hand one pcg_block call:
+  /// bounds the O(k^2 n) Gram work and the O(k^3) small solves while
+  /// keeping the spectrum deflation that makes the blocked iteration
+  /// converge in far fewer iterations.
+  static constexpr std::size_t kMaxSolveBlock = 16;
+  /// Size gate for their dense direct-solve fallback: densifying and
+  /// factoring the operator is O(n^2) memory and O(n^3) work.
+  static constexpr std::size_t kMaxDirectDim = 4096;
 
   /// Implementation hook: one application of G (solve() wraps this and
   /// maintains the solve counter).

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <map>
 
-#include "linalg/backend.hpp"
 #include "util/check.hpp"
 
 namespace subspar {
@@ -33,20 +32,13 @@ inline void butterfly_run(double* __restrict ur, double* __restrict ui, double* 
 
 }  // namespace
 
-DctPlan::DctPlan(std::size_t n) : n_(n), fast_(is_power_of_two(n) && n > 1) {
-  SUBSPAR_REQUIRE(n > 0);
+DctPlan::DctPlan(std::size_t n) : n_(n) {
+  SUBSPAR_REQUIRE(is_power_of_two(n));
+  if (n == 1) return;  // the identity: no tables
   s0_ = scale0(n);
   sk_ = scalek(n);
-  re_.resize(n);
-  if (!fast_) {
-    // Dense orthonormal DCT-II matrix, row-major: one trigonometric table
-    // instead of O(N^2) cos calls per transform. The transpose gives dct3
-    // contiguous rows (a plain dot per output).
-    dense_ = dct2_matrix(n);
-    dense_t_ = dense_.transposed();
-    return;
-  }
   inv_n_ = 1.0 / static_cast<double>(n);
+  re_.resize(n);
   im_.resize(n);
   rev_.resize(n);
   for (std::size_t i = 1, j = 0; i < n; ++i) {
@@ -81,16 +73,6 @@ DctPlan::DctPlan(std::size_t n) : n_(n), fast_(is_power_of_two(n) && n > 1) {
   }
 }
 
-// Dense rows are contiguous: one backend dot per output against a
-// contiguous copy of the line (the scalar backend's dot is the original
-// ascending-j loop, bit for bit).
-void DctPlan::dense(const Matrix& m, double* x, std::size_t stride) const {
-  const KernelOps& ops = kernel_ops();
-  double* line = re_.data();
-  for (std::size_t j = 0; j < n_; ++j) line[j] = x[j * stride];
-  for (std::size_t k = 0; k < n_; ++k) x[k * stride] = ops.dot_f64(m.row_ptr(k), line, n_);
-}
-
 // Radix-2 decimation-in-time stages over the bit-reversed line in re_/im_:
 // the first two in registers, four entries at a time, then one run of h
 // butterflies per group. Each butterfly is the std::complex FFT's
@@ -118,10 +100,7 @@ void DctPlan::butterflies(const double* root_im) const {
 }
 
 void DctPlan::dct2(double* x, std::size_t stride) const {
-  if (!fast_) {
-    dense(dense_, x, stride);
-    return;
-  }
+  if (n_ == 1) return;
   const std::size_t n = n_;
   double* re = re_.data();
   double* im = im_.data();
@@ -137,12 +116,7 @@ void DctPlan::dct2(double* x, std::size_t stride) const {
 }
 
 void DctPlan::dct3(double* x, std::size_t stride) const {
-  if (!fast_) {
-    // dct3 is the transpose product; dense_t_ makes each output a
-    // contiguous dot in the original ascending-k accumulation order.
-    dense(dense_t_, x, stride);
-    return;
-  }
+  if (n_ == 1) return;
   const std::size_t n = n_;
   double* re = re_.data();
   double* im = im_.data();
@@ -192,14 +166,12 @@ const DctPlan& dct_plan(std::size_t n) {
 }
 
 std::vector<double> dct2(const std::vector<double>& x) {
-  SUBSPAR_REQUIRE(!x.empty());
   std::vector<double> y = x;
   dct_plan(y.size()).dct2(y.data());
   return y;
 }
 
 std::vector<double> dct3(const std::vector<double>& y) {
-  SUBSPAR_REQUIRE(!y.empty());
   std::vector<double> x = y;
   dct_plan(x.size()).dct3(x.data());
   return x;

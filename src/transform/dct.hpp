@@ -25,10 +25,11 @@ namespace subspar {
 /// and the grid and tree sides the solvers and the quadtree accept.
 inline bool is_power_of_two(std::size_t n) { return n > 0 && (n & (n - 1)) == 0; }
 
-/// Precomputed orthonormal DCT-II / DCT-III of one fixed length.
+/// Precomputed orthonormal DCT-II / DCT-III of one fixed power-of-two
+/// length; the length-1 transform is the identity.
 ///
-/// Power-of-two lengths run Makhoul's algorithm as one line kernel, with
-/// no plan lookup, complex buffer or backend call per line: one
+/// The plan runs Makhoul's algorithm as one line kernel, with no plan
+/// lookup, complex buffer or backend call per line: one
 /// precomputed gather applies the even/odd split and the bit reversal at
 /// once, radix-2 butterflies run on split real/imaginary scratch over
 /// per-stage contiguous root tables (the first two stages in registers),
@@ -36,15 +37,14 @@ inline bool is_power_of_two(std::size_t n) { return n > 0 && (n & (n - 1)) == 0;
 /// scratch directly. Every butterfly does the multiplies and adds of a
 /// std::complex<double> radix-2 FFT, in the same order, so finite inputs,
 /// and NaN inputs of one payload, give that path's bits (docs/
-/// ARCHITECTURE.md, *Transforms*, has the two looser cases). Other lengths
-/// apply the dense transform matrix, O(N^2), without any trigonometry per
-/// call.
+/// ARCHITECTURE.md, *Transforms*, has the two looser cases).
 ///
 /// The scratch buffers make the transform methods non-reentrant: share
 /// plans only through the per-thread `dct_plan()` cache (or give each
 /// thread its own instance).
 class DctPlan {
  public:
+  /// Throws std::invalid_argument when n is not a power of two.
   explicit DctPlan(std::size_t n);
 
   std::size_t size() const { return n_; }
@@ -57,10 +57,8 @@ class DctPlan {
 
  private:
   void butterflies(const double* root_im) const;
-  void dense(const Matrix& m, double* x, std::size_t stride) const;
 
   std::size_t n_;
-  bool fast_;                       ///< power-of-two radix-2 path
   double s0_ = 0.0, sk_ = 0.0;      ///< orthonormal scales sqrt(1/N), sqrt(2/N)
   double inv_n_ = 0.0;              ///< 1/N, the inverse FFT's normalization
   std::vector<std::size_t> rev_;    ///< bit-reversal permutation
@@ -71,33 +69,30 @@ class DctPlan {
   /// half-length h uses j = k N / 2h for k < h, stored from offset h - 1.
   std::vector<double> root_re_, root_im_;
   std::vector<double> root_im_inv_; ///< -root_im_: the inverse transform's conjugate roots
-  Matrix dense_;                    ///< dct2_matrix(n) (dense path)
-  Matrix dense_t_;                  ///< its transpose: dct3 rows contiguous
-  mutable std::vector<double> re_;  ///< line real parts (dense path: the line copy)
+  mutable std::vector<double> re_;  ///< line real parts
   mutable std::vector<double> im_;  ///< line imaginary parts
 };
 
 /// The orthonormal DCT-II matrix of length n: row k is mode k sampled at
 /// the n grid points, so C x is dct2(x) and C' y is dct3(y). Feeds the
-/// dense-table DctPlan and the GEMM-based lateral transforms of
-/// FastPoisson3D.
+/// GEMM-based lateral transforms of FastPoisson3D.
 Matrix dct2_matrix(std::size_t n);
 
 /// Per-thread plan cache: the returned reference stays valid for the
 /// lifetime of the calling thread.
 const DctPlan& dct_plan(std::size_t n);
 
-/// Orthonormal DCT-II through the cached plan. Fast (FFT-based) for
-/// power-of-two N, O(N^2) otherwise.
+/// Orthonormal DCT-II through the cached plan (power-of-two N).
 std::vector<double> dct2(const std::vector<double>& x);
-/// Orthonormal DCT-III (inverse of dct2).
+/// Orthonormal DCT-III (inverse of dct2), power-of-two N.
 std::vector<double> dct3(const std::vector<double>& x);
 
 /// O(N^2) reference implementations (any N), for validation.
 std::vector<double> dct2_naive(const std::vector<double>& x);
 std::vector<double> dct3_naive(const std::vector<double>& x);
 
-/// Separable 2-D transforms on a row-major rows x cols buffer, in place.
+/// Separable 2-D transforms on a row-major rows x cols buffer, in place;
+/// rows and cols are powers of two.
 void dct2_2d(std::vector<double>& a, std::size_t rows, std::size_t cols);
 void dct3_2d(std::vector<double>& a, std::size_t rows, std::size_t cols);
 

@@ -15,6 +15,7 @@
 #include "substrate/eigen_solver.hpp"
 #include "substrate/solver.hpp"
 #include "subspar/extraction.hpp"
+#include "support/direct_threshold.hpp"
 #include "util/rng.hpp"
 
 namespace subspar {

@@ -87,10 +87,10 @@ std::uint64_t sparse_digest(std::uint64_t h, const SparseMatrix& a) {
 }
 
 // The quickstart model's digests, pinned for x86, whose baseline ISA cannot
-// fuse a multiply-add. The SIMD backends round GEMM's multiply-adds through
-// FMAs (linalg/backend.hpp), avx2 and avx512 alike, so they share one
+// fuse a multiply-add. The x86 SIMD backend, avx512, rounds GEMM's
+// multiply-adds through FMAs (linalg/backend.hpp), so it has its own
 // value. The compiler contracts only when it optimizes: an unoptimized
-// build's SIMD backends give the scalar bits. Recorded with GCC 12 and
+// build's SIMD backend gives the scalar bits. Recorded with GCC 12 and
 // glibc 2.36: another libm's sin/cos tables or another compiler's GEMM
 // contraction can move both values.
 constexpr std::uint64_t kGoldenDigestScalar = 0xced09c8ad383336fULL;

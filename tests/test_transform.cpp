@@ -120,12 +120,6 @@ TEST(Dct, ConstantMapsToDcModeOnly) {
   for (std::size_t k = 1; k < y.size(); ++k) EXPECT_NEAR(y[k], 0.0, 1e-12);
 }
 
-TEST(Dct, NonPowerOfTwoFallsBackToNaive) {
-  const auto x = random_signal(12, 8);
-  const auto y = dct3(dct2(x));
-  for (std::size_t i = 0; i < x.size(); ++i) EXPECT_NEAR(y[i], x[i], 1e-11);
-}
-
 TEST(Dct, LinearityProperty) {
   const auto x = random_signal(32, 9);
   const auto y = random_signal(32, 10);
@@ -172,7 +166,7 @@ TEST_P(DctSizeSweep, RoundTripAcrossSizes) {
   for (std::size_t i = 0; i < n; ++i) ASSERT_NEAR(y[i], x[i], 1e-10);
 }
 
-INSTANTIATE_TEST_SUITE_P(Sizes, DctSizeSweep, ::testing::Values(1, 2, 3, 4, 7, 8, 16, 31, 64, 256));
+INSTANTIATE_TEST_SUITE_P(Sizes, DctSizeSweep, ::testing::Values(1, 2, 4, 8, 16, 64, 256));
 
 // ------------------------------------------------------------ fast Poisson
 
@@ -511,13 +505,9 @@ TEST(DctPlan, PlannedDct3MatchesNaive) {
   }
 }
 
-TEST(DctPlan, NonPowerOfTwoDenseTableMatchesNaive) {
-  for (const std::size_t n : {1u, 3u, 12u, 31u}) {
-    auto x = random_signal(n, 60 + n);
-    const auto ref = dct2_naive(x);
-    dct_plan(n).dct2(x.data());
-    for (std::size_t k = 0; k < n; ++k) ASSERT_NEAR(x[k], ref[k], 1e-13) << "n=" << n;
-  }
+TEST(DctPlan, RejectsNonPowerOfTwoLengths) {
+  EXPECT_THROW(DctPlan(3), std::invalid_argument);
+  EXPECT_THROW(DctPlan(12), std::invalid_argument);
 }
 
 TEST(DctPlan, FreeFunctionsRouteThroughPlan) {
@@ -526,28 +516,6 @@ TEST(DctPlan, FreeFunctionsRouteThroughPlan) {
   dct_plan(x.size()).dct2(planned.data());
   const auto free_fn = dct2(x);
   for (std::size_t k = 0; k < x.size(); ++k) ASSERT_EQ(planned[k], free_fn[k]);
-}
-
-TEST(DctPlan, DenseTableStridedLineMatchesContiguous) {
-  for (const std::size_t n : {3u, 12u, 24u}) {
-    for (const std::size_t stride : {std::size_t{3}, n}) {
-      for (const bool forward : {true, false}) {
-        const auto line = random_signal(n, 80 + n);
-        std::vector<double> ref = line;
-        std::vector<double> buf((n - 1) * stride + 1, -7.5);
-        for (std::size_t j = 0; j < n; ++j) buf[j * stride] = line[j];
-        forward ? dct_plan(n).dct2(ref.data()) : dct_plan(n).dct3(ref.data());
-        forward ? dct_plan(n).dct2(buf.data(), stride) : dct_plan(n).dct3(buf.data(), stride);
-        for (std::size_t i = 0; i < buf.size(); ++i) {
-          if (i % stride == 0) {
-            ASSERT_EQ(buf[i], ref[i / stride]) << "n=" << n << " stride=" << stride;
-          } else {
-            ASSERT_EQ(buf[i], -7.5) << "n=" << n << " stride=" << stride << " i=" << i;
-          }
-        }
-      }
-    }
-  }
 }
 
 // ------------------------------------- line kernel vs std::complex reference

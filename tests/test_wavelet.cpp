@@ -11,6 +11,7 @@
 #include "substrate/eigen_solver.hpp"
 #include "substrate/fd_solver.hpp"
 #include "substrate/solver.hpp"
+#include "support/direct_threshold.hpp"
 #include "support/wavelet_reference.hpp"
 #include "wavelet/basis.hpp"
 #include "wavelet/extract.hpp"
